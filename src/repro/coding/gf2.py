@@ -414,9 +414,16 @@ class PackedGF2Basis:
         to handle the pivots the block itself introduces.  Falls back to
         the sequential path when payloads are in multi-word storage or
         exceed 64 bits.
+
+        Once the basis reaches full rank mid-block the per-row insertion
+        stops: a full-rank RREF basis is the identity, so each remaining
+        row reduces to zero coefficients and its status is decided by
+        its payload XOR the solved payloads at its set bits — one XOR
+        broadcast per column with a non-zero solution (none at all for
+        the payload-free bases of the columnar dissemination driver).
         """
-        rows = [int(r) for r in rows]
-        payloads = [int(p) for p in payloads]
+        rows = list(map(int, rows))
+        payloads = list(map(int, payloads))
         if len(rows) != len(payloads):
             raise ValueError("rows and payloads must have equal length")
         if not rows:
@@ -424,25 +431,44 @@ class PackedGF2Basis:
         if (
             self._pay_int is None
             or len(rows) < 2
-            or any(p >> 64 for p in payloads)
+            or min(payloads) < 0
+            or max(payloads) >> 64
         ):
             return [self.absorb(r, p) for r, p in zip(rows, payloads)]
 
-        r = np.array(rows, dtype=np.uint64)
-        p = np.array(payloads, dtype=np.uint64)
-        coeff = self._coeff
-        pay_int = self._pay_int
         hit = self._pivot_mask
-        while hit:
-            piv = (hit & -hit).bit_length() - 1
-            sel = (r >> np.uint64(piv)) & np.uint64(1) != 0
-            if sel.any():
-                r[sel] ^= np.uint64(coeff[piv])
-                p[sel] ^= np.uint64(pay_int[piv])
-            hit &= hit - 1
-        return [
-            self._absorb_int(int(r[i]), int(p[i])) for i in range(len(rows))
-        ]
+        if hit:
+            r = np.array(rows, dtype=np.uint64)
+            p = np.array(payloads, dtype=np.uint64)
+            while hit:
+                piv = (hit & -hit).bit_length() - 1
+                sel = (r >> np.uint64(piv)) & np.uint64(1) != 0
+                if sel.any():
+                    r[sel] ^= np.uint64(self._coeff[piv])
+                    p[sel] ^= np.uint64(self._pay_int[piv])
+                hit &= hit - 1
+            rows, payloads = r.tolist(), p.tolist()
+        statuses = []
+        for row, pay in zip(rows, payloads):
+            if self.rank == self.width:
+                break
+            statuses.append(self._absorb_int(row, pay))
+        done = len(statuses)
+        if done == len(rows):
+            return statuses
+        # Full rank: settle the tail against the identity basis.
+        tail = payloads[done:]
+        solved = [(c, sol) for c, sol in enumerate(self._pay_int) if sol]
+        if solved:
+            r = np.array(rows[done:], dtype=np.uint64)
+            p = np.array(tail, dtype=np.uint64)
+            for c, sol in solved:
+                p[(r >> np.uint64(c)) & np.uint64(1) != 0] ^= np.uint64(sol)
+            tail = p.tolist()
+        statuses.extend(
+            [self.INCONSISTENT if pay else self.REDUNDANT for pay in tail]
+        )
+        return statuses
 
     def absorb_packed(self, row: int, pay: np.ndarray) -> int:
         """Multi-word path: payload as little-endian uint64 words."""

@@ -54,6 +54,42 @@ from repro.radio.trace import RoundTrace
 #: entries; the cap only guards hand-built parameter sets.
 _XOR_TABLE_MAX_WIDTH = 20
 
+#: Widest group the columnar direct path runs: its coded masks are the
+#: top ``gs`` bits of one uint32 draw each.
+_DIRECT_MAX_WIDTH = 32
+
+
+def epoch_draws(
+    rng: np.random.Generator, bounds: np.ndarray, coded: bool
+) -> np.ndarray:
+    """All of one Decay epoch's per-transmission draws at once.
+
+    ``bounds[i]`` is the size of transmission ``i``'s group, in draw
+    order (slot first, then group, then sender).  Coded transmissions get
+    a uniform subset mask in ``[0, 2**bounds[i])``, plain ones a uniform
+    packet index in ``[0, bounds[i])``.
+
+    The draws are stream-identical to one ``rng.integers(0, 1 << gs,
+    size)`` (coded) or ``rng.integers(0, gs, size)`` (plain) call per
+    (slot, group).  For a power-of-two range numpy's bounded draw takes
+    the top bits of one uint32 and never rejects, so every coded mask is
+    one uint32 draw shifted right by ``32 - gs``; plain draws may reject,
+    so they take one call per maximal run of equal bound.  Bounds must
+    be at most 32.
+    """
+    bounds = np.asarray(bounds, dtype=np.int64)
+    if coded:
+        words = rng.integers(0, 1 << 32, size=bounds.size, dtype=np.uint64)
+        return (words >> (32 - bounds).astype(np.uint64)).astype(np.int64)
+    out = np.empty(bounds.size, dtype=np.int64)
+    cuts = np.flatnonzero(np.diff(bounds)) + 1
+    starts = [0, *cuts.tolist()]
+    ends = [*cuts.tolist(), bounds.size]
+    for a, b in zip(starts, ends):
+        if a < b:
+            out[a:b] = rng.integers(0, int(bounds[a]), size=b - a)
+    return out
+
 
 @dataclass
 class DisseminationResult:
@@ -466,47 +502,200 @@ def run_dissemination_stage(
                     poisoned_rows=round_poisoned,
                 )
 
-    def run_phases_columnar() -> int:
-        """Columnar phase loop: whole-layer Decay schedules per epoch.
+    def run_phases_direct() -> int:
+        """Columnar direct path: each phase is a per-epoch vector program.
 
-        Per active group the epoch's transmit decisions come from one
-        :func:`decay_transmit_matrix` draw over the whole sender layer,
-        and the coded subset masks from one batched ``rng.integers`` per
-        slot — instead of per-sender Python work.  On a bare honest
-        :class:`RadioNetwork` (no trace, no blacklist) the rounds go
-        through :meth:`RadioNetwork.resolve_round_vector` with no wire
-        tuples at all: senders are attributed to groups by their BFS
-        layer (concurrent groups occupy distinct layers), per-receiver
-        decoding state is a payload-free :class:`PackedGF2Basis` fed by
-        ``absorb_block`` at phase end (honest rows are always
-        span-consistent, so rank alone decides completion, and the
-        innovative count equals the rank gain in any absorption order),
-        and all integrity/authentication counters are provably zero.
-        Fault wrappers, traces, and blacklists fall back to sealed wire
-        tuples resolved through ``network.resolve_round`` and verified
-        by the shared :func:`process_received` pipeline.
+        Runs on a bare honest :class:`RadioNetwork` (no trace, no
+        blacklist, groups at most 32 wide) with no wire tuples at all:
+
+        - *One draw per epoch.*  The epoch's Decay coin matrices come
+          from the same :func:`decay_transmit_matrix` calls, in the same
+          order, as in :func:`run_phases_columnar`.  Concatenated to
+          ``(slots × M)`` their nonzeros come out in that loop's draw
+          order (slot, group, sender), so :func:`epoch_draws` takes all
+          of the epoch's coded masks (or plain picks) in one call,
+          stream-identical to its per-(slot, group) draws.
+        - *One pass per slot.*  Each slot is one
+          :meth:`RadioNetwork.resolve_round_vector` call.  Receptions are
+          attributed to groups at phase end through the sender's BFS
+          layer (concurrent groups forward from distinct layers; the
+          root is layer 0) and filtered there by ``has_group``, which
+          only changes at phase end.
+        - *Payload-free decoding.*  Honest rows are span-consistent, so
+          rank alone decides completion: coded rows go into one
+          coefficient-only :class:`PackedGF2Basis` per (receiver, group),
+          one ``absorb_block`` per pair and phase, and plain packets into
+          a received-index bitmask.  The innovative count equals the
+          rank gain in any absorption order, and every integrity and
+          authentication counter is provably zero.
 
         Returns the rounds consumed (``total_phases * phase_length``).
         """
-        nonlocal coded_tx, plain_tx, innovative_rx
-        direct = (
-            isinstance(network, RadioNetwork)
-            and type(network).resolve_round is RadioNetwork.resolve_round
-            and trace is None
-            and not blacklist
-        )
+        nonlocal coded_tx, plain_tx
+        reps = max(1, params.root_plain_repetitions)
+        n_decay = epochs * slots
+        coding = params.coding_enabled
+        layer_arrays = [np.array(lay, dtype=np.int64) for lay in layers]
+        group_sizes = [len(grp) for grp in groups]
+        plain_bits: Dict[Tuple[int, int], int] = {}
+        bases: Dict[Tuple[int, int], PackedGF2Basis] = {}
+        # Per-slot scatter buffer: what each transmitter sent this slot
+        # (a coded mask, or a plain packet's index bit).
+        val_of_tx = np.zeros(n, dtype=np.int64)
+        group_of_layer = np.full(ecc + 1, -1, dtype=np.int64)
+        root_arr = np.array([root], dtype=np.int64)
+        rounds = 0
+
+        def settle_phase(
+            recv: np.ndarray, s_layer: np.ndarray, val: np.ndarray
+        ) -> None:
+            """Phase end: attribute, filter and absorb the phase's
+            receptions (receiver, sender layer, value sent), then promote
+            the receivers that can now decode."""
+            nonlocal innovative_rx
+            grp = group_of_layer[s_layer]
+            keep = ~has_group[recv, grp]
+            if not params.opportunistic_decoding:
+                keep &= dist[recv] == s_layer + 1
+            recv, grp, val = recv[keep], grp[keep], val[keep]
+            # The root's packets (and, uncoded, every packet) are plain.
+            if coding:
+                plain = s_layer[keep] == 0
+            else:
+                plain = np.ones(recv.size, dtype=bool)
+            done: List[Tuple[int, int]] = []
+            if plain.any():
+                key = recv[plain] * g + grp[plain]
+                pairs, inverse = np.unique(key, return_inverse=True)
+                bits = np.zeros(pairs.size, dtype=np.int64)
+                np.bitwise_or.at(bits, inverse, val[plain])
+                for kv, got in zip(pairs.tolist(), bits.tolist()):
+                    pair = divmod(kv, g)
+                    got |= plain_bits.get(pair, 0)
+                    plain_bits[pair] = got
+                    if got == (1 << group_sizes[pair[1]]) - 1:
+                        done.append(pair)
+            coded = ~plain
+            if coded.any():
+                c_recv, c_grp, c_rows = recv[coded], grp[coded], val[coded]
+                order = np.lexsort((c_recv, c_grp))
+                c_recv, c_grp = c_recv[order], c_grp[order]
+                rows = c_rows[order]
+                starts = np.flatnonzero(
+                    np.diff(c_recv, prepend=-1) | np.diff(c_grp, prepend=-1)
+                ).tolist()
+                ends = starts[1:] + [rows.size]
+                for a, b, v, j in zip(starts, ends, c_recv[starts].tolist(),
+                                      c_grp[starts].tolist()):
+                    pair = (v, j)
+                    basis = bases.get(pair)
+                    if basis is None:
+                        basis = bases[pair] = PackedGF2Basis(group_sizes[j])
+                    before = basis.rank
+                    basis.absorb_block(rows[a:b].tolist(), [0] * (b - a))
+                    innovative_rx += basis.rank - before
+                    if basis.is_complete:
+                        done.append(pair)
+            for v, j in done:
+                has_group[v, j] = True
+
+        for phase in range(1, total_phases + 1):
+            root_group = -1
+            fwd: List[np.ndarray] = []
+            fwd_bounds: List[int] = []
+            group_of_layer.fill(-1)
+            for j in range(g):
+                d = group_layer(j, phase)
+                if not d:
+                    continue
+                group_of_layer[d - 1] = j
+                if d == 1:
+                    root_group = j
+                    continue
+                lay = layer_arrays[d - 1]
+                senders = lay[has_group[lay, j]]
+                if senders.size:
+                    fwd.append(senders)
+                    fwd_bounds.extend([group_sizes[j]] * senders.size)
+            if fwd:
+                fwd_nodes = np.concatenate(fwd)
+                bounds_of_col = np.array(fwd_bounds, dtype=np.int64)
+            gs_root = group_sizes[root_group] if root_group >= 0 else 0
+            rx_recv: List[np.ndarray] = []
+            rx_send: List[np.ndarray] = []
+            rx_val: List[np.ndarray] = []
+
+            for slot in range(phase_length):
+                a = b = 0
+                if fwd and slot < n_decay:
+                    epoch_slot = slot % slots
+                    if epoch_slot == 0:
+                        coins = np.concatenate(
+                            [decay_transmit_matrix(s.size, rng, slots)
+                             for s in fwd],
+                            axis=1,
+                        )
+                        tx_slot, tx_col = np.nonzero(coins)
+                        tx_nodes = fwd_nodes[tx_col]
+                        vals = epoch_draws(rng, bounds_of_col[tx_col], coding)
+                        if coding:
+                            coded_tx += vals.size
+                        else:
+                            plain_tx += vals.size
+                            vals = np.left_shift(1, vals)
+                        cut = np.searchsorted(
+                            tx_slot, np.arange(slots + 1)
+                        ).tolist()
+                    a, b = cut[epoch_slot], cut[epoch_slot + 1]
+                root_tx = root_group >= 0 and slot < gs_root * reps
+                if not root_tx and a == b:
+                    continue
+                if root_tx:
+                    plain_tx += 1
+                    val_of_tx[root] = 1 << (slot % gs_root)
+                if a < b:
+                    tx = tx_nodes[a:b]
+                    val_of_tx[tx] = vals[a:b]
+                    if root_tx:
+                        tx = np.concatenate((tx, root_arr))
+                else:
+                    tx = root_arr
+                receivers, senders_of = network.resolve_round_vector(tx)
+                if receivers.size:
+                    rx_recv.append(receivers)
+                    rx_send.append(senders_of)
+                    rx_val.append(val_of_tx[senders_of])
+
+            rounds += phase_length
+            if rx_recv:
+                settle_phase(
+                    np.concatenate(rx_recv),
+                    dist[np.concatenate(rx_send)],
+                    np.concatenate(rx_val),
+                )
+        return rounds
+
+    def run_phases_columnar() -> int:
+        """Columnar fallback phase loop: whole-layer Decay schedules per
+        epoch, sealed wire tuples per round.
+
+        Runs wherever :func:`run_phases_direct` cannot: fault wrappers,
+        traces and blacklists.  Per active group the epoch's transmit
+        decisions come from one :func:`decay_transmit_matrix` draw over
+        the whole sender layer, and the coded subset masks from one
+        batched ``rng.integers`` per (slot, group), instead of per-sender
+        Python work.  Each round is resolved through
+        ``network.resolve_round``, verified by the shared
+        :func:`process_received` pipeline and promoted at phase end by
+        :func:`try_complete`.  It draws the direct path's exact RNG
+        stream, so on an honest network the two agree on every outcome.
+
+        Returns the rounds consumed (``total_phases * phase_length``).
+        """
+        nonlocal coded_tx, plain_tx
         reps = max(1, params.root_plain_repetitions)
         n_decay = epochs * slots
         layer_arrays = [np.array(lay, dtype=np.int64) for lay in layers]
-        # Direct-mode decoding state: plain packets as received-bitmask
-        # ints, coded rows as coefficient-only bases.
-        plain_bits: Dict[Tuple[int, int], int] = {}
-        bases: Dict[Tuple[int, int], PackedGF2Basis] = {}
-        # Per-slot scatter buffer mapping a transmitting node to the
-        # mask / packet index it sent (only slots written this round are
-        # ever read back).
-        val_of_tx = np.zeros(n, dtype=np.int64)
-        root_arr = np.array([root], dtype=np.int64)
         rounds = 0
 
         for phase in range(1, total_phases + 1):
@@ -531,12 +720,6 @@ def run_dissemination_stage(
 
             gs_root = len(groups[root_group]) if root_group >= 0 else 0
             touched: Set[Tuple[int, int]] = set()
-            # Direct-mode coded receptions accumulate per phase and are
-            # absorbed in one block per (receiver, group) at phase end —
-            # legal because promotion only happens at phase end anyway.
-            rx_recv: List[np.ndarray] = []
-            rx_group: List[int] = []
-            rx_rows: List[np.ndarray] = []
             epoch_coins: Dict[int, np.ndarray] = {}
 
             for slot in range(phase_length):
@@ -549,7 +732,14 @@ def run_dissemination_stage(
                         )
 
                 root_tx = root_group >= 0 and slot < gs_root * reps
-                tx_entries: List[Tuple[int, int, np.ndarray, np.ndarray, int]] = []
+                transmissions: Dict[int, object] = {}
+                if root_tx:
+                    plain_tx += 1
+                    idx = slot % gs_root
+                    pkt = groups[root_group][idx]
+                    transmissions[root] = seal_plain(
+                        root, root_group, idx, pkt.payload, gs_root
+                    )
                 if in_decay:
                     for j, d, senders, gs in fsets:
                         hot = senders[epoch_coins[j][epoch_slot]]
@@ -558,149 +748,44 @@ def run_dissemination_stage(
                         if params.coding_enabled:
                             vals = rng.integers(0, 1 << gs, size=hot.size)
                             coded_tx += hot.size
-                        else:
-                            vals = rng.integers(0, gs, size=hot.size)
-                            plain_tx += hot.size
-                        tx_entries.append((j, d, hot, vals, gs))
-                if root_tx:
-                    plain_tx += 1
-
-                if not root_tx and not tx_entries:
-                    continue
-
-                if direct:
-                    parts = [hot for _, _, hot, _, _ in tx_entries]
-                    if root_tx:
-                        parts.append(root_arr)
-                    tx_all = (
-                        np.concatenate(parts) if len(parts) > 1 else parts[0]
-                    )
-                    for _, _, hot, vals, _ in tx_entries:
-                        val_of_tx[hot] = vals
-                    receivers, senders_of = network.resolve_round_vector(
-                        tx_all
-                    )
-                    if receivers.size == 0:
-                        continue
-                    s_layer = dist[senders_of]
-                    if root_tx:
-                        from_root = s_layer == 0
-                        rcv = receivers[from_root]
-                        if rcv.size:
-                            keep = ~has_group[rcv, root_group]
-                            if not params.opportunistic_decoding:
-                                keep &= dist[rcv] == 1
-                            idx_bit = 1 << (slot % gs_root)
-                            for v in rcv[keep].tolist():
-                                pair = (v, root_group)
-                                plain_bits[pair] = (
-                                    plain_bits.get(pair, 0) | idx_bit
-                                )
-                                touched.add(pair)
-                    for j, d, hot, vals, gs in tx_entries:
-                        from_j = s_layer == d - 1
-                        rcv = receivers[from_j]
-                        if rcv.size == 0:
-                            continue
-                        snd = senders_of[from_j]
-                        keep = ~has_group[rcv, j]
-                        if not params.opportunistic_decoding:
-                            keep &= dist[rcv] == d
-                        rcv = rcv[keep]
-                        if rcv.size == 0:
-                            continue
-                        rows = val_of_tx[snd[keep]]
-                        if params.coding_enabled:
-                            rx_recv.append(rcv)
-                            rx_group.append(j)
-                            rx_rows.append(rows)
-                        else:
-                            for v, pick in zip(rcv.tolist(), rows.tolist()):
-                                pair = (v, j)
-                                plain_bits[pair] = (
-                                    plain_bits.get(pair, 0) | (1 << pick)
-                                )
-                                touched.add(pair)
-                else:
-                    transmissions: Dict[int, object] = {}
-                    if root_tx:
-                        idx = slot % gs_root
-                        pkt = groups[root_group][idx]
-                        transmissions[root] = seal_plain(
-                            root, root_group, idx, pkt.payload, gs_root
-                        )
-                    for j, d, hot, vals, gs in tx_entries:
-                        payloads = group_payloads[j]
-                        if params.coding_enabled:
                             for s_, m_ in zip(hot.tolist(), vals.tolist()):
                                 transmissions[s_] = seal_coded(
                                     s_, j, m_, subset_xor(j, m_), gs
                                 )
                         else:
+                            vals = rng.integers(0, gs, size=hot.size)
+                            plain_tx += hot.size
+                            payloads = group_payloads[j]
                             for s_, pick in zip(hot.tolist(), vals.tolist()):
                                 transmissions[s_] = seal_plain(
                                     s_, j, pick, payloads[pick], gs
                                 )
-                    received = network.resolve_round(transmissions)
-                    if trace is not None:
-                        trace.observe(
-                            round_offset + rounds + slot,
-                            transmissions,
-                            received,
-                        )
-                    process_received(received, phase, touched)
 
-            # Phase end: batch-absorb the direct-mode coded rows, then
-            # promote exactly as the reference loop does.
-            if rx_recv:
-                all_recv = np.concatenate(rx_recv)
-                all_group = np.concatenate(
-                    [np.full(r.size, j, dtype=np.int64)
-                     for r, j in zip(rx_recv, rx_group)]
-                )
-                all_rows = np.concatenate(rx_rows)
-                order = np.lexsort((all_recv, all_group))
-                all_recv = all_recv[order]
-                all_group = all_group[order]
-                all_rows = all_rows[order]
-                boundaries = np.flatnonzero(
-                    (np.diff(all_recv) != 0) | (np.diff(all_group) != 0)
-                ) + 1
-                starts = np.concatenate(([0], boundaries))
-                ends = np.concatenate((boundaries, [all_recv.size]))
-                for a, b in zip(starts.tolist(), ends.tolist()):
-                    pair = (int(all_recv[a]), int(all_group[a]))
-                    touched.add(pair)
-                    basis = bases.get(pair)
-                    if basis is None:
-                        basis = PackedGF2Basis(len(groups[pair[1]]))
-                        bases[pair] = basis
-                    elif basis.is_complete:
-                        continue
-                    before = basis.rank
-                    rows_block = all_rows[a:b].tolist()
-                    basis.absorb_block(rows_block, [0] * (b - a))
-                    innovative_rx += basis.rank - before
+                if not transmissions:
+                    continue
+                received = network.resolve_round(transmissions)
+                if trace is not None:
+                    trace.observe(
+                        round_offset + rounds + slot,
+                        transmissions,
+                        received,
+                    )
+                process_received(received, phase, touched)
 
             rounds += phase_length
-            if direct:
-                for v, j in touched:
-                    if has_group[v, j]:
-                        continue
-                    gs = len(groups[j])
-                    if plain_bits.get((v, j), 0) == (1 << gs) - 1:
-                        has_group[v, j] = True
-                        continue
-                    basis = bases.get((v, j))
-                    if basis is not None and basis.is_complete:
-                        has_group[v, j] = True
-            else:
-                for v, j in touched:
-                    try_complete(v, j)
+            for v, j in touched:
+                try_complete(v, j)
         return rounds
 
     if getattr(network, "engine", None) == "columnar":
-        rounds = run_phases_columnar()
+        direct = (
+            isinstance(network, RadioNetwork)
+            and type(network).resolve_round is RadioNetwork.resolve_round
+            and trace is None
+            and not blacklist
+            and width <= _DIRECT_MAX_WIDTH
+        )
+        rounds = run_phases_direct() if direct else run_phases_columnar()
         failed = [
             (v, j)
             for v in range(n)

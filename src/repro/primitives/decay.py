@@ -15,6 +15,7 @@ success probability and both are exposed for the E12 experiment.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -44,6 +45,17 @@ def transmission_probabilities(num_slots: int) -> List[float]:
     return [2.0 ** -(s + 1) for s in range(num_slots)]
 
 
+@lru_cache(maxsize=None)
+def _probability_column(num_slots: int) -> np.ndarray:
+    """:func:`transmission_probabilities` as a read-only ``(slots, 1)``
+    column, built once per slot count."""
+    column = np.array(
+        transmission_probabilities(num_slots), dtype=np.float64
+    )[:, None]
+    column.flags.writeable = False
+    return column
+
+
 def decay_transmit_matrix(
     num_participants: int,
     rng: np.random.Generator,
@@ -65,10 +77,7 @@ def decay_transmit_matrix(
     if variant == "independent":
         if m == 0:
             return np.zeros((num_slots, 0), dtype=bool)
-        probs = np.array(
-            transmission_probabilities(num_slots), dtype=np.float64
-        )
-        return rng.random((num_slots, m)) < probs[:, None]
+        return rng.random((num_slots, m)) < _probability_column(num_slots)
     if variant == "classic":
         if m == 0:
             return np.zeros((num_slots, 0), dtype=bool)

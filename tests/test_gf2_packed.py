@@ -260,3 +260,88 @@ def test_basis_rejects_bad_width():
         PackedGF2Basis(0)
     with pytest.raises(ValueError):
         PackedGF2Basis(65)
+
+
+# ----------------------------------------------------------------------
+# PackedGF2Basis.absorb_block vs sequential absorb on a twin basis
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def block_case(draw):
+    """A starting stream and blocks over a hidden solution.
+
+    Rows are consistent with the solution unless flagged inconsistent.
+    A block may carry every unit vector in random order, so the basis
+    completes mid-block and the rows after it form a full-rank tail;
+    payloads are single-word or wider than 64 bits.
+    """
+    width = draw(st.integers(1, 12))
+    pay_bits = draw(st.sampled_from((8, 64, 100)))
+    solution = [draw(st.integers(0, (1 << pay_bits) - 1))
+                for _ in range(width)]
+
+    def value(coeff):
+        return _subset_xor(solution, coeff)
+
+    def row():
+        coeff = draw(st.integers(0, (1 << width) - 1))
+        payload = value(coeff)
+        if draw(st.integers(0, 3)) == 0:
+            payload ^= draw(st.integers(1, (1 << pay_bits) - 1))
+        return coeff, payload
+
+    start = [row() for _ in range(draw(st.integers(0, width)))]
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        block = [row() for _ in range(draw(st.integers(0, 4)))]
+        if draw(st.booleans()):
+            order = draw(st.permutations(range(width)))
+            block += [(1 << c, value(1 << c)) for c in order]
+        block += [row() for _ in range(draw(st.integers(0, 8)))]
+        blocks.append(block)
+    return width, start, blocks
+
+
+def _subset_xor(payloads, mask):
+    out = 0
+    for c, pay in enumerate(payloads):
+        if mask >> c & 1:
+            out ^= pay
+    return out
+
+
+def _basis_state(basis):
+    pay = None if basis._pay is None else basis._pay.tolist()
+    return (basis.rank, basis._pivot_mask, list(basis._coeff),
+            basis._pay_int, pay, basis.payload_words)
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_case())
+def test_absorb_block_matches_sequential_absorb(case):
+    width, start, blocks = case
+    blocked = PackedGF2Basis(width)
+    sequential = PackedGF2Basis(width)
+    for coeff, payload in start:
+        assert blocked.absorb(coeff, payload) == sequential.absorb(
+            coeff, payload)
+    for block in blocks:
+        rows = [c for c, _ in block]
+        payloads = [p for _, p in block]
+        expected = [sequential.absorb(c, p) for c, p in block]
+        assert blocked.absorb_block(rows, payloads) == expected
+        assert _basis_state(blocked) == _basis_state(sequential)
+
+
+def test_absorb_block_full_rank_tail_flags_inconsistent_rows():
+    """Rows after the basis completes are settled against the solution:
+    consistent ones are redundant, a flipped payload is inconsistent."""
+    solution = [0b101, 0b011, 0b110]
+    rows = [0b001, 0b011, 0b111, 0b110, 0b101, 0b010]
+    payloads = [_subset_xor(solution, r) for r in rows]
+    payloads[4] ^= 1
+    basis = PackedGF2Basis(3)
+    statuses = basis.absorb_block(rows, payloads)
+    assert statuses == [1, 1, 1, 0, -1, 0]
+    assert basis.solve_ints() == solution
