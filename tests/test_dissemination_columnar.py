@@ -7,7 +7,8 @@ for a :class:`RoundTrace` forces the fallback loop (sealed wire tuples
 through ``resolve_round`` and the shared receiver pipeline).  Both draw
 the same RNG stream, so every outcome and counter must agree — and the
 direct path's results are pinned by digest, so a change to how it draws
-or attributes receptions fails loudly here.
+or attributes receptions fails loudly here.  Every engine's Stage 4 is
+pinned too: traced, behind an erasure layer and bare.
 """
 
 import hashlib
@@ -20,8 +21,10 @@ from hypothesis import strategies as st
 from repro.coding.packets import make_packets
 from repro.core.config import AlgorithmParameters
 from repro.core.dissemination import epoch_draws, run_dissemination_stage
+from repro.radio.network import ENGINES
 from repro.radio.trace import RoundTrace
 from repro.topology import grid, random_geometric
+from tests.conftest import PIN_MODES, pin_digest, pin_network
 
 FIELDS = (
     "rounds",
@@ -135,6 +138,88 @@ def test_direct_path_pinned_digest(make, k, seed, overrides, expected):
     )
     assert calls == 0
     assert _digest(result) == expected
+
+
+# Stage 4 on every engine and mode.  Computed on the tree that still had
+# one dict loop per engine; the shared phase loop must reproduce them.
+CONFIGS = {
+    "coded": {},
+    "plain": {"coding_enabled": False},
+    "opportunistic": {"opportunistic_decoding": True},
+}
+STAGE_PINS = {
+    "coded-fast-trace":
+        "534c334ed2f68ed3f71d5360b73ee83e4e455996f073a91d8ffc725c853477d6",
+    "coded-fast-faulty":
+        "93ad34aa09338be2737fc830a65d9722c2f5cdf532a19abb00f997206d3a0313",
+    "coded-fast-bare":
+        "dc74fa6f485298ff257155d965b9359c3c65c3da40c82b8e46cf7a6c00d5c2aa",
+    "coded-reference-trace":
+        "534c334ed2f68ed3f71d5360b73ee83e4e455996f073a91d8ffc725c853477d6",
+    "coded-reference-faulty":
+        "93ad34aa09338be2737fc830a65d9722c2f5cdf532a19abb00f997206d3a0313",
+    "coded-reference-bare":
+        "dc74fa6f485298ff257155d965b9359c3c65c3da40c82b8e46cf7a6c00d5c2aa",
+    "coded-columnar-trace":
+        "63418577f32b9358f0a03ef5cad26cd42856f8e75fae6914572f18ace444e528",
+    "coded-columnar-faulty":
+        "2a66b3971440ba80849205ce496205f7de4da7645a24941ee82dd05cae6665aa",
+    "coded-columnar-bare":
+        "216abfae56ebf2292f4ed3865609205af9104907620b37573a1b20325e2070cd",
+    "opportunistic-fast-trace":
+        "534c334ed2f68ed3f71d5360b73ee83e4e455996f073a91d8ffc725c853477d6",
+    "opportunistic-fast-faulty":
+        "009da372dcddf03830659df04cd6ec8904140f0099b83a6070a4af12f99238ad",
+    "opportunistic-fast-bare":
+        "dc74fa6f485298ff257155d965b9359c3c65c3da40c82b8e46cf7a6c00d5c2aa",
+    "opportunistic-reference-trace":
+        "534c334ed2f68ed3f71d5360b73ee83e4e455996f073a91d8ffc725c853477d6",
+    "opportunistic-reference-faulty":
+        "009da372dcddf03830659df04cd6ec8904140f0099b83a6070a4af12f99238ad",
+    "opportunistic-reference-bare":
+        "dc74fa6f485298ff257155d965b9359c3c65c3da40c82b8e46cf7a6c00d5c2aa",
+    "opportunistic-columnar-trace":
+        "63418577f32b9358f0a03ef5cad26cd42856f8e75fae6914572f18ace444e528",
+    "opportunistic-columnar-faulty":
+        "dc209bd7e01a4eb5dc88548834fbcaedb374cf116582812b9ae647968bb4cdb8",
+    "opportunistic-columnar-bare":
+        "216abfae56ebf2292f4ed3865609205af9104907620b37573a1b20325e2070cd",
+    "plain-fast-trace":
+        "aec2e1ff95d25423685bbb107ce6fd6e3ee704a46eac5138b3398938c7e73fb9",
+    "plain-fast-faulty":
+        "e97e5ede1fbae47da6757d694614e3162263c4738555d2f249a9df67f5f992cb",
+    "plain-fast-bare":
+        "cf3fce122a231e413bfcef843bc3724ef8ec5807e502d26591c3db1f3055af8a",
+    "plain-reference-trace":
+        "aec2e1ff95d25423685bbb107ce6fd6e3ee704a46eac5138b3398938c7e73fb9",
+    "plain-reference-faulty":
+        "e97e5ede1fbae47da6757d694614e3162263c4738555d2f249a9df67f5f992cb",
+    "plain-reference-bare":
+        "cf3fce122a231e413bfcef843bc3724ef8ec5807e502d26591c3db1f3055af8a",
+    "plain-columnar-trace":
+        "04b3fab3b539bd492835acb62cf9996a74a8bc8dde9ebf37e0a83fa230f543f7",
+    "plain-columnar-faulty":
+        "16cdfb4d436135d60507dabc11e998c04b368a97c1f9adb18d4f04b3edb7876a",
+    "plain-columnar-bare":
+        "ec0dd2914c084f6d5c96c7b8f732e520c0d31caf4d9715298aaa976bede9950a",
+}
+
+
+@pytest.mark.parametrize("mode", PIN_MODES)
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_stage_pinned_digest(config, engine, mode):
+    base = random_geometric(40, seed=11)
+    dist = base.bfs_distances(0).tolist()
+    net, trace = pin_network(base, engine, mode)
+    rng = np.random.default_rng(21)
+    packets = make_packets([0] * 20, size_bits=24, seed=21)
+    result = run_dissemination_stage(
+        net, dist, 0, packets, AlgorithmParameters(**CONFIGS[config]), rng,
+        trace=trace,
+    )
+    assert pin_digest(result, rng, net, trace) == \
+        STAGE_PINS[f"{config}-{engine}-{mode}"]
 
 
 # ----------------------------------------------------------------------
