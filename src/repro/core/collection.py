@@ -35,7 +35,6 @@ Simulation notes
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -406,32 +405,20 @@ def run_grab(
     epoch_results: List[GatherEpochResult] = []
 
     window_factor = max(1, int(params.ospg_window_factor))
-    columnar = getattr(network, "engine", None) == "columnar"
 
     def launch_and_run(window: int, copies: int) -> GatherEpochResult:
         nonlocal rounds
-        launches: List[Tuple[int, int, int]] = []
-        if columnar and len(unacked) > 1:
-            # One batched draw for every (packet, copy) launch round.
-            # numpy fills the matrix row by row, so the values match the
-            # per-pid draws below; batching just removes the Python loop
-            # from the per-procedure hot path.
-            items = list(unacked.items())
-            draws = rng.integers(
-                1, window_factor * window + 1, size=(len(items), copies)
-            )
-            launches = [
-                (pid, origin, int(r))
-                for (pid, origin), row in zip(items, draws)
-                for r in row
-            ]
-        else:
-            for pid, origin in unacked.items():
-                draws = rng.integers(
-                    1, window_factor * window + 1, size=copies
-                )
-                for r in draws:
-                    launches.append((pid, origin, int(r)))
+        # One draw for every (packet, copy) launch round; numpy fills the
+        # matrix row by row, the stream of one draw per packet.
+        items = list(unacked.items())
+        draws = rng.integers(
+            1, window_factor * window + 1, size=(len(items), copies)
+        )
+        launches = [
+            (pid, origin, int(r))
+            for (pid, origin), row in zip(items, draws)
+            for r in row
+        ]
         result = run_gather_procedure(
             network,
             parent,

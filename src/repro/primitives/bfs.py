@@ -18,16 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
-from repro.primitives.decay import (
-    decay_slots,
-    decay_transmit_matrix,
-    run_decay_epoch,
-)
-from repro.radio.network import RadioNetwork
+from repro.primitives.decay import decay_slots, decay_transmit_matrix
+from repro.radio.network import RadioNetwork, runs_vector_path
 from repro.radio.trace import RoundTrace
 
 
@@ -71,6 +67,14 @@ def build_distributed_bfs(
     epochs_per_phase:
         Decay epochs per phase (``O(log n)``); defaults to
         :func:`default_bfs_epochs`.
+
+    Each epoch's coin flips come from one :func:`decay_transmit_matrix`
+    draw, which consumes the exact stream of per-slot draws, so every
+    engine runs the same construction.  Where :func:`runs_vector_path`
+    holds, receptions flow through
+    :meth:`RadioNetwork.resolve_round_vector` and no ``(sender, dist)``
+    tuples are built; otherwise every slot is a real dict round, so
+    fault wrappers and traces see it.
     """
     n = network.n
     if not 0 <= root < n:
@@ -84,101 +88,17 @@ def build_distributed_bfs(
     parent = np.full(n, -1, dtype=np.int64)
     distance = np.full(n, -1, dtype=np.int64)
     distance[root] = 0
-
-    if getattr(network, "engine", None) == "columnar":
-        return _build_bfs_columnar(
-            network,
-            rng,
-            depth_bound,
-            epochs_per_phase,
-            num_slots,
-            parent,
-            distance,
-            trace,
-            round_offset,
-        )
+    direct = runs_vector_path(network, trace)
 
     rounds = 0
     phases_run = 0
-    for phase in range(depth_bound):
-        phases_run += 1
-        frontier = np.nonzero(distance == phase)[0].tolist()
-        if not frontier:
-            # No node at this distance; the phase still elapses (nodes only
-            # know the depth *bound*), but simulating silent epochs is
-            # unnecessary — account for the rounds and move on.
-            rounds += epochs_per_phase * num_slots
-            continue
-
-        def message_fn(node: int, slot: int, _phase: int = phase) -> Tuple[int, int]:
-            return (node, _phase)
-
-        for _ in range(epochs_per_phase):
-            receptions = run_decay_epoch(
-                network,
-                frontier,
-                message_fn,
-                rng,
-                num_slots=num_slots,
-                trace=trace,
-                round_offset=round_offset + rounds,
-            )
-            rounds += num_slots
-            for slot_received in receptions:
-                for receiver, payload in slot_received.items():
-                    if not (isinstance(payload, tuple) and len(payload) == 2):
-                        continue  # stray traffic (e.g. a forged ACK)
-                    sender, sender_dist = payload
-                    if distance[receiver] < 0:
-                        parent[receiver] = sender
-                        distance[receiver] = sender_dist + 1
-
-    return DistributedBfsResult(
-        rounds=rounds,
-        parent=[int(p) for p in parent],
-        distance=[int(d) for d in distance],
-        phases=phases_run,
-        epochs_per_phase=epochs_per_phase,
-        complete=bool((distance >= 0).all()),
-    )
-
-
-def _build_bfs_columnar(
-    network,
-    rng: np.random.Generator,
-    depth_bound: int,
-    epochs_per_phase: int,
-    num_slots: int,
-    parent: np.ndarray,
-    distance: np.ndarray,
-    trace: Optional[RoundTrace],
-    round_offset: int,
-) -> DistributedBfsResult:
-    """Vectorized layer-by-layer construction (columnar engine).
-
-    The per-epoch coin flips come from one :func:`decay_transmit_matrix`
-    draw — which consumes the exact stream the reference per-slot loop
-    consumes, so honest columnar BFS is RNG-identical to the reference,
-    not merely semantically equivalent.  On a bare
-    :class:`RadioNetwork`, receptions flow through
-    :meth:`RadioNetwork.resolve_round_vector` (receiver/sender arrays;
-    no ``(sender, dist)`` tuples are ever materialized); fault wrappers
-    get real per-slot dicts so their interference and transcripts are
-    preserved.
-    """
-    rounds = 0
-    phases_run = 0
-    direct = (
-        isinstance(network, RadioNetwork)
-        and type(network).resolve_round is RadioNetwork.resolve_round
-        and trace is None
-    )
     for phase in range(depth_bound):
         phases_run += 1
         frontier = np.flatnonzero(distance == phase)
         if frontier.size == 0:
-            # Same charged-but-not-simulated bookkeeping as the
-            # reference loop: the phase elapses silently.
+            # No node at this distance; the phase still elapses (nodes only
+            # know the depth *bound*), but simulating silent epochs is
+            # unnecessary — account for the rounds and move on.
             rounds += epochs_per_phase * num_slots
             continue
         for _ in range(epochs_per_phase):
@@ -191,26 +111,20 @@ def _build_bfs_columnar(
                     adopters = receivers[fresh]
                     parent[adopters] = senders[fresh]
                     distance[adopters] = phase + 1
-                else:
-                    transmissions = {
-                        int(t): (int(t), phase) for t in tx
-                    }
-                    received = network.resolve_round(transmissions)
-                    if trace is not None:
-                        trace.observe(
-                            round_offset + rounds + slot,
-                            transmissions,
-                            received,
-                        )
-                    for receiver, payload in received.items():
-                        if not (
-                            isinstance(payload, tuple) and len(payload) == 2
-                        ):
-                            continue  # stray traffic (e.g. a forged ACK)
-                        sender, sender_dist = payload
-                        if distance[receiver] < 0:
-                            parent[receiver] = sender
-                            distance[receiver] = sender_dist + 1
+                    continue
+                transmissions = {int(t): (int(t), phase) for t in tx}
+                received = network.resolve_round(transmissions)
+                if trace is not None:
+                    trace.observe(
+                        round_offset + rounds + slot, transmissions, received
+                    )
+                for receiver, payload in received.items():
+                    if not (isinstance(payload, tuple) and len(payload) == 2):
+                        continue  # stray traffic (e.g. a forged ACK)
+                    sender, sender_dist = payload
+                    if distance[receiver] < 0:
+                        parent[receiver] = sender
+                        distance[receiver] = sender_dist + 1
             rounds += num_slots
 
     return DistributedBfsResult(

@@ -15,16 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.primitives.decay import (
-    decay_slots,
-    decay_transmit_matrix,
-    run_decay_epoch,
-)
-from repro.radio.network import RadioNetwork
+from repro.primitives.decay import decay_slots, decay_transmit_matrix
+from repro.radio.network import RadioNetwork, runs_vector_path
 from repro.radio.trace import RoundTrace
 
 
@@ -88,7 +84,14 @@ def bgi_broadcast(
     Notes
     -----
     All informed nodes participate in every epoch, exactly as in the BGI
-    protocol; "informed" spreads monotonically.
+    protocol; "informed" spreads monotonically.  Each epoch's coin flips
+    come from one :func:`decay_transmit_matrix` draw (the per-slot
+    stream).  Where :func:`runs_vector_path` holds, slots go through
+    :meth:`RadioNetwork.resolve_round_vector`; otherwise each is a real
+    dict round, so fault wrappers and traces see it.  Untraced columnar
+    runs charge the epochs left after saturation without simulating
+    them, which skips their draws; the semantic-equivalence oracles,
+    not transcript digests, gate that divergence.
     """
     source_list = sorted(set(int(s) for s in sources))
     informed = np.zeros(network.n, dtype=bool)
@@ -113,94 +116,16 @@ def bgi_broadcast(
             epochs_to_complete=epochs_to_complete,
         )
 
-    if getattr(network, "engine", None) == "columnar":
-        return _bgi_broadcast_columnar(
-            network,
-            informed,
-            rng,
-            message,
-            epochs,
-            num_slots,
-            stop_early,
-            trace,
-            round_offset,
-            epochs_to_complete,
-        )
-
-    def message_fn(node: int, slot: int) -> object:
-        return message
-
-    for epoch in range(epochs):
-        participants = np.nonzero(informed)[0].tolist()
-        receptions = run_decay_epoch(
-            network,
-            participants,
-            message_fn,
-            rng,
-            num_slots=num_slots,
-            trace=trace,
-            round_offset=round_offset + rounds,
-        )
-        rounds += num_slots
-        epochs_run += 1
-        for slot_received in receptions:
-            for receiver in slot_received:
-                informed[receiver] = True
-        if epochs_to_complete < 0 and informed.all():
-            epochs_to_complete = epochs_run
-            if stop_early:
-                break
-
-    return BroadcastResult(
-        rounds=rounds,
-        epochs=epochs_run,
-        informed=informed,
-        complete=bool(informed.all()),
-        epochs_to_complete=epochs_to_complete,
+    direct = runs_vector_path(network, trace)
+    # The columnar engine stops simulating a saturated flood; it is the
+    # one place an engine changes the flood's RNG stream.
+    skip_saturated = (
+        trace is None and getattr(network, "engine", None) == "columnar"
     )
-
-
-def _bgi_broadcast_columnar(
-    network,
-    informed: np.ndarray,
-    rng: np.random.Generator,
-    message: object,
-    epochs: int,
-    num_slots: int,
-    stop_early: bool,
-    trace: Optional[RoundTrace],
-    round_offset: int,
-    epochs_to_complete: int,
-) -> BroadcastResult:
-    """Vectorized flood driver used when the network engine is columnar.
-
-    Per epoch, all participants' transmit decisions come from one
-    :func:`decay_transmit_matrix` draw instead of per-slot Python loops,
-    and once every node is informed the remaining budgeted epochs are
-    charged to the round counter without being simulated — they cannot
-    change any state, by the monotonicity of "informed".  The rounds /
-    epochs / informed / epochs_to_complete accounting is identical to the
-    reference loop; the RNG *stream* diverges after saturation (draws are
-    skipped), which is exactly the divergence the semantic-equivalence
-    oracles (rather than transcript digests) gate.
-
-    When ``network`` is a bare :class:`RadioNetwork` the slots go through
-    :meth:`RadioNetwork.resolve_round_vector` with no per-round dicts at
-    all; fault wrappers and proxies (anything overriding or interposing
-    ``resolve_round``) get real transmission dicts so their fault
-    modeling and transcript recording see every round.
-    """
-    direct = (
-        isinstance(network, RadioNetwork)
-        and type(network).resolve_round is RadioNetwork.resolve_round
-        and trace is None
-    )
-    rounds = 0
-    epochs_run = 0
     for epoch in range(epochs):
-        if trace is None and informed.all():
-            # Saturated: every remaining epoch is state-invariant.
-            # Charge its rounds; skip its coin flips and resolutions.
+        if skip_saturated and informed.all():
+            # Every remaining epoch is state-invariant: charge its
+            # rounds, skip its coin flips and resolutions.
             remaining = epochs - epoch
             rounds += remaining * num_slots
             epochs_run += remaining
@@ -211,23 +136,23 @@ def _bgi_broadcast_columnar(
             tx = participants[coins[slot]]
             if direct:
                 receivers, _ = network.resolve_round_vector(tx)
-                if receivers.size:
-                    informed[receivers] = True
-            else:
-                transmissions = dict.fromkeys(tx.tolist(), message)
-                received = network.resolve_round(transmissions)
-                if trace is not None:
-                    trace.observe(
-                        round_offset + rounds + slot, transmissions, received
-                    )
-                for receiver in received:
-                    informed[receiver] = True
+                informed[receivers] = True
+                continue
+            transmissions = dict.fromkeys(tx.tolist(), message)
+            received = network.resolve_round(transmissions)
+            if trace is not None:
+                trace.observe(
+                    round_offset + rounds + slot, transmissions, received
+                )
+            for receiver in received:
+                informed[receiver] = True
         rounds += num_slots
         epochs_run += 1
         if epochs_to_complete < 0 and informed.all():
             epochs_to_complete = epochs_run
             if stop_early:
                 break
+
     return BroadcastResult(
         rounds=rounds,
         epochs=epochs_run,

@@ -70,8 +70,8 @@ def decay_transmit_matrix(
     ``rng.random((num_slots, m))`` fills rows sequentially (C order), so
     row ``s`` holds exactly the ``m`` doubles the per-slot
     ``rng.random(m)`` call would have drawn, and the classic variant's
-    geometric stops are drawn once up front in both.  The columnar stage
-    drivers build their batched schedules from this matrix.
+    geometric stops are drawn once up front in both.  The BFS, flood and
+    dissemination drivers take their coin flips from this matrix.
     """
     m = int(num_participants)
     if variant == "independent":

@@ -21,17 +21,19 @@ import numpy as np
 from repro.radio.errors import TopologyError
 
 #: The interchangeable implementations of the reception rule / protocol
-#: execution.  ``"reference"`` is the original per-transmitter neighbor
-#: scan; ``"fast"`` resolves rounds with adaptive scatter/bitset numpy
-#: kernels.  Those two produce bit-identical results — same receivers,
-#: same messages, same (ascending) dict order — which the differential
-#: harness (:mod:`repro.testing.differential`) verifies digest-exactly.
-#: ``"columnar"`` additionally switches the protocol *stages* (election,
-#: BFS, collection, dissemination floods) to whole-network vectorized
-#: drivers that batch RNG draws; its dict-based :meth:`resolve_round` is
-#: identical to ``"fast"``, but the stage drivers legitimately reorder
-#: RNG streams, so it is gated by semantic-equivalence oracles
-#: (:mod:`repro.testing.semantic`) instead of transcript digests.
+#: execution.  Every engine runs the same stage drivers.  ``"reference"``
+#: resolves dict rounds with the original per-transmitter neighbor scan;
+#: ``"fast"`` with adaptive scatter/bitset numpy kernels.  Those two
+#: produce bit-identical results — same receivers, same messages, same
+#: (ascending) dict order — which the differential harness
+#: (:mod:`repro.testing.differential`) verifies digest-exactly.
+#: ``"columnar"`` resolves dict rounds like ``"fast"``; in addition, a
+#: bare untraced columnar network runs the array-native vector path (see
+#: :func:`runs_vector_path`), dissemination draws its Decay coins once
+#: per epoch, and an untraced flood stops simulating once saturated.
+#: Those legitimately reorder RNG streams, so it is gated by
+#: semantic-equivalence oracles (:mod:`repro.testing.semantic`) instead
+#: of transcript digests.
 ENGINES = ("fast", "reference", "columnar")
 
 #: Dict-path rounds fall back from the bitset strategy to the scatter
@@ -55,6 +57,24 @@ def set_default_engine(name: str) -> None:
 def get_default_engine() -> str:
     """The engine newly constructed networks resolve rounds with."""
     return _default_engine
+
+
+def runs_vector_path(network, trace) -> bool:
+    """Whether a stage driver may run ``network`` on the array-native
+    :meth:`RadioNetwork.resolve_round_vector` path.
+
+    Only a bare columnar :class:`RadioNetwork` with no trace qualifies.
+    Anything overriding ``resolve_round`` (fault layers, SINR physics)
+    and any trace needs real per-round dicts.  This is a function, not
+    a method: the proxy wrappers forward unknown attributes to the
+    wrapped base, which would answer for them.
+    """
+    return (
+        trace is None
+        and isinstance(network, RadioNetwork)
+        and type(network).resolve_round is RadioNetwork.resolve_round
+        and network.engine == "columnar"
+    )
 
 
 if hasattr(np, "bitwise_count"):  # numpy >= 2.0
@@ -97,7 +117,7 @@ class RadioNetwork:
         module default (:func:`get_default_engine`).  ``fast`` and
         ``reference`` are bit-for-bit equivalent; ``columnar`` resolves
         dict rounds identically to ``fast`` but additionally enables the
-        vectorized stage drivers (see :meth:`resolve_round`).
+        vector path and batched draws (see :data:`ENGINES`).
     diameter_hint:
         Optional exact diameter, when the caller knows it in closed form
         (topology generators do for lines, rings, grids, tori,
@@ -186,8 +206,8 @@ class RadioNetwork:
         Switching between ``fast`` and ``reference`` is safe at any point
         — the two are bit-for-bit equivalent, so switching mid-run never
         changes an execution.  Switching ``columnar`` on/off mid-run is
-        well-defined but changes which stage drivers (and hence which RNG
-        draw order) subsequent stages use.
+        well-defined but changes which RNG draw order subsequent stages
+        use.
         """
         if name not in ENGINES:
             raise ValueError(

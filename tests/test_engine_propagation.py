@@ -6,19 +6,22 @@ The engine selection travels a long way — ``AlgorithmParameters`` →
 and the columnar stage drivers dispatch on ``network.engine`` seen
 *through* those proxies, so a wrapper that swallowed the attribute would
 silently fall back to the reference path.  These tests pin the
-propagation for all three engine names, plus the deprecation shim that
-maps the legacy ``fast_engine`` tri-state onto ``engine``.
+propagation for all three engine names, and the one capability query
+(:func:`runs_vector_path`) that must *not* see through those proxies.
 """
 
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.core.config import AlgorithmParameters
 from repro.dynamic.churn import ChurnNetwork
 from repro.radio.faults import FaultyRadioNetwork
-from repro.radio.network import ENGINES
+from repro.radio.network import ENGINES, RadioNetwork, runs_vector_path
+from repro.radio.sinr import SinrRadioNetwork
+from repro.radio.trace import RoundTrace
 from repro.radio.transcript import RecordingNetwork
 from repro.resilience.chaos.runner import CampaignConfig
 from repro.resilience.network import DynamicFaultNetwork
@@ -35,11 +38,30 @@ def test_engine_visible_through_every_wrapper(engine):
         ChurnNetwork(base),
         FaultyRadioNetwork(base),
     ]
-    for net in wrappers:
-        assert net.engine == engine, type(net).__name__
     # stacked, as the chaos runner builds them
     stacked = DynamicFaultNetwork(RecordingNetwork(ChurnNetwork(base)))
-    assert stacked.engine == engine
+    for net in wrappers + [stacked]:
+        assert net.engine == engine, type(net).__name__
+        # a wrapper intercepts rounds, so it never runs the vector path
+        assert not runs_vector_path(net, None), type(net).__name__
+
+    # only a bare, untraced columnar network does
+    assert runs_vector_path(base, None) == (engine == "columnar")
+    assert not runs_vector_path(base, RoundTrace())
+
+    class Overriding(RadioNetwork):
+        def resolve_round(self, transmissions):
+            return super().resolve_round(transmissions)
+
+    assert not runs_vector_path(
+        Overriding(base.edge_list(), n=base.n, engine=engine), None
+    )
+    sinr = SinrRadioNetwork(
+        np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
+        require_connected=False,
+    )
+    sinr.set_engine(engine)
+    assert not runs_vector_path(sinr, None)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -70,34 +92,10 @@ def test_params_engine_accepts_all_names_and_rejects_unknown():
         AlgorithmParameters(engine="warp")
 
 
-def test_fast_engine_shim_maps_and_warns():
-    with pytest.warns(DeprecationWarning, match="fast_engine"):
-        params = AlgorithmParameters(fast_engine=True)
-    assert params.engine == "fast"
-    with pytest.warns(DeprecationWarning, match="fast_engine"):
-        params = AlgorithmParameters(fast_engine=False)
-    assert params.engine == "reference"
-
-
-def test_fast_engine_shim_consistent_pair_is_silent():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        params = AlgorithmParameters(fast_engine=True, engine="fast")
-    assert params.engine == "fast"
-
-
-def test_fast_engine_shim_conflict_raises():
-    with pytest.raises(ValueError, match="conflicting engine"):
-        AlgorithmParameters(fast_engine=True, engine="reference")
-    with pytest.raises(ValueError, match="conflicting engine"):
-        AlgorithmParameters(fast_engine=False, engine="columnar")
-
-
 def test_replace_preserves_engine_without_rewarning():
     import dataclasses
 
-    with pytest.warns(DeprecationWarning):
-        params = AlgorithmParameters(fast_engine=True)
+    params = AlgorithmParameters(engine="fast")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         bumped = dataclasses.replace(params, group_spacing=4)
