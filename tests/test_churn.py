@@ -1,17 +1,29 @@
 """Unit tests for topology churn: schedules, timelines, ChurnNetwork,
 mobility lowering, and the FaultSchedule × ChurnSchedule cross checks."""
 
-import pytest
+import hashlib
+import json
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.coding.packets import required_packet_bits
+from repro.core import AlgorithmParameters
 from repro.dynamic import (
     ChurnEvent,
     ChurnNetwork,
     ChurnSchedule,
+    ContinuousBroadcast,
+    PoissonProcess,
     churn_from_mobility,
     random_churn_schedule,
 )
+from repro.radio import RadioNetwork
+from repro.radio.transcript import RecordingNetwork
 from repro.resilience.schedule import FaultSchedule
-from repro.topology import grid, line, mobile_rgg
+from repro.testing.differential import transcript_digest
+from repro.topology import grid, line, mobile_rgg, random_geometric
 
 
 class TestChurnEvent:
@@ -162,6 +174,13 @@ class TestChurnNetwork:
         assert net.has_edge(4, 1)  # footprint still reports the edge
         assert not net.edge_active(4, 1)
 
+    def test_schedule_without_events_keeps_initially_absent(self):
+        # A schedule with no events is still a schedule: its future
+        # joiners start absent.
+        net = ChurnNetwork(line(3), ChurnSchedule(initially_absent=[0]))
+        assert not net.is_present(0)
+        assert net.resolve_round({1: "m"}) == {2: "m"}
+
     def test_deliver_to_absent_plants_phantoms(self):
         churn = ChurnSchedule().leave(0, at_round=0)
         buggy = ChurnNetwork(line(3), churn, deliver_to_absent=True)
@@ -292,3 +311,174 @@ class TestFaultScheduleChurnCrossChecks:
 
     def test_no_churn_keeps_legacy_behavior(self):
         FaultSchedule().crash(3, at_round=20).validate(9)
+
+
+# ----------------------------------------------------------------------
+# The churned reception rule against a naive oracle
+# ----------------------------------------------------------------------
+
+
+def _naive_churned_round(base, absent, severed, transmissions,
+                         deliver_to_absent):
+    """The reception rule over the current graph, written out per node:
+    ``v`` hears iff exactly one present transmitter reaches it across a
+    footprint edge that is not severed, and ``v`` is not transmitting.
+    Absent receivers hear nothing unless phantom delivery is planted.
+    Returns the receptions (ascending) and the phantom count."""
+    on_air = {tx: m for tx, m in transmissions.items() if tx not in absent}
+    received, phantoms = {}, 0
+    for v in range(base.n):
+        if v in on_air:
+            continue
+        heard = [
+            tx for tx in on_air
+            if base.has_edge(tx, v) and frozenset((tx, v)) not in severed
+        ]
+        if len(heard) != 1:
+            continue
+        if v in absent:
+            if not deliver_to_absent:
+                continue
+            phantoms += 1
+        received[v] = on_air[heard[0]]
+    return received, phantoms
+
+
+@st.composite
+def _churned_runs(draw):
+    """A footprint, a valid churn timeline over it (one batch of events
+    per round, drawn against the state it leaves behind) and one
+    transmitter set per round."""
+    if draw(st.booleans()):
+        base = grid(draw(st.integers(2, 4)), draw(st.integers(2, 5)))
+    else:
+        base = random_geometric(draw(st.integers(4, 20)),
+                                seed=draw(st.integers(0, 99)))
+    n = base.n
+    footprint = base.edge_list()
+    nodes = st.integers(0, n - 1)
+    initially_absent = draw(st.frozensets(nodes, max_size=n // 3))
+    absent, severed = set(initially_absent), set()
+    churn = ChurnSchedule(initially_absent=initially_absent)
+    rounds = draw(st.integers(1, 10))
+    transmissions = []
+    for r in range(rounds):
+        for _ in range(draw(st.integers(0, 3))):
+            kind = draw(st.sampled_from(
+                ["leave", "join", "edge_down", "edge_up", "partition"]))
+            present = sorted(set(range(n)) - absent)
+            active = [e for e in footprint if frozenset(e) not in severed]
+            cut = sorted(tuple(sorted(e)) for e in severed)
+            if kind == "leave" and present:
+                v = draw(st.sampled_from(present))
+                churn.leave(v, at_round=r)
+                absent.add(v)
+            elif kind == "join" and absent:
+                v = draw(st.sampled_from(sorted(absent)))
+                churn.join(v, at_round=r)
+                absent.discard(v)
+            elif kind == "edge_down" and active:
+                e = draw(st.sampled_from(active))
+                churn.edge_down(e, at_round=r)
+                severed.add(frozenset(e))
+            elif kind == "edge_up" and cut:
+                e = draw(st.sampled_from(cut))
+                churn.edge_up(e, at_round=r)
+                severed.discard(frozenset(e))
+            elif kind == "partition" and active:
+                edges = draw(st.lists(st.sampled_from(active), min_size=1,
+                                      max_size=4, unique=True))
+                churn.partition(edges, at_round=r)
+                severed.update(frozenset(e) for e in edges)
+        senders = draw(st.lists(nodes, max_size=n, unique=True))
+        transmissions.append({v: f"m{r}.{v}" for v in senders})
+    return base, churn, transmissions
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=_churned_runs(), deliver_to_absent=st.booleans())
+def test_churned_reception_matches_naive_oracle(run, deliver_to_absent):
+    base, churn, transmissions = run
+    churn.validate(base.n)
+    net = ChurnNetwork(base, churn, deliver_to_absent=deliver_to_absent)
+    absent = set(churn.initially_absent)
+    severed = set()
+    events = churn.sorted_events()
+    phantoms = 0
+    for r, tx in enumerate(transmissions):
+        for e in events:
+            if e.round != r:
+                continue
+            if e.kind == "leave":
+                absent.add(e.node)
+            elif e.kind == "join":
+                absent.discard(e.node)
+            elif e.kind in ("edge_down", "partition"):
+                severed.update(frozenset(c) for c in e.cut_edges())
+            else:
+                severed.difference_update(
+                    frozenset(c) for c in e.cut_edges())
+        expected, new_phantoms = _naive_churned_round(
+            base, absent, severed, tx, deliver_to_absent)
+        phantoms += new_phantoms
+        got = net.resolve_round(tx)
+        assert list(got.items()) == list(expected.items()), r
+        assert net.rx_phantom_delivered == phantoms
+    assert net.absent == absent and net.severed == severed
+
+
+# ----------------------------------------------------------------------
+# Pinned continuous runs under churn
+# ----------------------------------------------------------------------
+
+#: sha256 over a continuous run's summary and the ``RecordingNetwork``
+#: transcript of its churned rounds.  A change to the churned reception
+#: rule, to event timing or to any draw order of the continuous driver
+#: changes these.
+CONTINUOUS_CHURN_PINS = {
+    "grid-leave-flip":
+        "ffdefa8db8231dd47493701c57c5d9aa20e36e1f9c7ad8621876575a658a6e0e",
+    "rgg-join-partition":
+        "d7d04f1d52e47fa278931d37d372bf58789458a5c8693d44128d7a833c792ba5",
+    "mobile-rgg":
+        "0a201e88b459cefaff648482d11f3254472db72ec2a45c95da729b757556aa8e",
+}
+
+
+def _continuous_churn_scenario(name):
+    if name == "grid-leave-flip":
+        base = grid(4, 4)
+        churn = random_churn_schedule(base, 3000, seed=5, leave_frac=0.1,
+                                      edge_flips=2)
+        return base, churn, 0.003, 3000
+    if name == "rgg-join-partition":
+        base = random_geometric(20, seed=3)
+        churn = random_churn_schedule(
+            base, 2000, seed=4, leave_frac=0.1, join_frac=0.1,
+            rejoin_prob=0.5, edge_flips=4, partition_prob=1.0,
+        )
+        return base, churn, 0.004, 2000
+    assert name == "mobile-rgg", name
+    net, edge_sets = mobile_rgg(16, epochs=6, step=0.03, seed=3)
+    footprint, churn = churn_from_mobility(edge_sets, epoch_length=400)
+    base = RadioNetwork(footprint, n=net.n, require_connected=False)
+    return base, churn, 0.003, 2000
+
+
+@pytest.mark.parametrize("name", sorted(CONTINUOUS_CHURN_PINS))
+def test_continuous_run_under_churn_pinned(name):
+    base, churn, rate, rounds = _continuous_churn_scenario(name)
+    rec = RecordingNetwork(ChurnNetwork(base, churn))
+    result = ContinuousBroadcast(
+        rec,
+        PoissonProcess(rate=rate, size_bits=required_packet_bits(base.n),
+                       seed=7),
+        params=AlgorithmParameters().with_overrides(
+            collection_estimate_factor=0.25, mspg_enabled=False),
+        seed=8,
+    ).run(rounds)
+    assert result.accounting_exact
+    h = hashlib.sha256()
+    h.update(json.dumps(result.summary(), sort_keys=True).encode())
+    h.update(transcript_digest(rec.transcript).encode())
+    assert h.hexdigest() == CONTINUOUS_CHURN_PINS[name]
