@@ -20,7 +20,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.radio.network import popcount_u64
 from repro.radio.rng import SeedLike, make_rng
 
 

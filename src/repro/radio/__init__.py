@@ -21,7 +21,6 @@ from repro.radio.network import (
     ENGINES,
     RadioNetwork,
     get_default_engine,
-    popcount_u64,
     set_default_engine,
 )
 from repro.radio.protocol import Node, ProtocolOutcome, Simulator
@@ -33,7 +32,6 @@ __all__ = [
     "ENGINES",
     "FaultyRadioNetwork",
     "get_default_engine",
-    "popcount_u64",
     "set_default_engine",
     "Node",
     "ProtocolError",

@@ -1,7 +1,10 @@
 """Fault injection: erasure and jamming on top of any radio network.
 
-:class:`FaultyRadioNetwork` wraps a base network's topology and applies
-additional loss *after* the model's collision rule:
+:class:`FaultyRadioNetwork` is a transparent proxy (like
+:class:`repro.radio.transcript.RecordingNetwork`): the wrapped network
+supplies the collision rule and every other attribute (topology, cached
+diameter, engine, a churn layer's clock), and this layer applies
+additional loss *after* the collision rule:
 
 - **erasures** — every successful reception is independently dropped with
   probability ``erasure_prob`` (fading, checksum failures);
@@ -20,24 +23,23 @@ same loss pattern).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional
-
-import numpy as np
+from typing import Dict, Iterable, Mapping
 
 from repro.radio.network import RadioNetwork
 from repro.radio.rng import SeedLike, make_rng
 
 
-class FaultyRadioNetwork(RadioNetwork):
+class FaultyRadioNetwork:
     """A radio network with post-collision reception faults.
 
     Parameters
     ----------
     base:
-        The fault-free network whose topology (and hence n, D, Δ) is
-        inherited.  Its own ``resolve_round`` supplies the collision
-        semantics — wrapping a SINR or erasure network preserves that
-        model's reception rule, with this layer's faults applied on top.
+        The fault-free network.  Its ``resolve_round`` supplies the
+        collision semantics — wrapping a SINR or erasure network
+        preserves that model's reception rule, with this layer's faults
+        applied on top — and every other attribute (n, D, Δ, engine, …)
+        is read from it.
     erasure_prob:
         Probability each successful reception is independently dropped.
     jammed_nodes:
@@ -60,14 +62,8 @@ class FaultyRadioNetwork(RadioNetwork):
             raise ValueError("erasure_prob must be in [0, 1)")
         if not 0.0 <= jam_prob <= 1.0:
             raise ValueError("jam_prob must be in [0, 1]")
-        super().__init__(
-            base.edge_list(),
-            n=base.n,
-            require_connected=False,
-            name=f"faulty({base.name},e={erasure_prob})",
-            engine=getattr(base, "engine", None),
-        )
         self._base = base
+        self.name = f"faulty({base.name},e={erasure_prob})"
         self.erasure_prob = float(erasure_prob)
         self.jammed = frozenset(int(v) for v in jammed_nodes)
         if any(not 0 <= v < base.n for v in self.jammed):
@@ -76,42 +72,6 @@ class FaultyRadioNetwork(RadioNetwork):
         self._fault_rng = make_rng(seed)
         self.receptions_erased = 0
         self.receptions_jammed = 0
-
-    def set_engine(self, name: str) -> None:
-        """Switch the *wrapped* network's resolver (collision semantics
-        come from the base; this wrapper only drops receptions)."""
-        super().set_engine(name)
-        self._base.set_engine(name)
-
-    # -- churn passthroughs -------------------------------------------
-    # FaultyRadioNetwork is a RadioNetwork subclass, not a __getattr__
-    # proxy, so the dynamic-topology interface of a wrapped
-    # ChurnNetwork must be forwarded explicitly for erasures/jamming to
-    # compose with join/leave/mobility.
-
-    def advance(self, rounds: int) -> None:
-        base_advance = getattr(self._base, "advance", None)
-        if base_advance is not None:
-            base_advance(rounds)
-
-    def advance_to(self, round_index: int) -> None:
-        base_advance_to = getattr(self._base, "advance_to", None)
-        if base_advance_to is not None:
-            base_advance_to(round_index)
-
-    def is_present(self, node: int) -> bool:
-        base_present = getattr(self._base, "is_present", None)
-        return True if base_present is None else base_present(node)
-
-    def present_nodes(self):
-        base_present = getattr(self._base, "present_nodes", None)
-        if base_present is None:
-            return list(range(self.n))
-        return base_present()
-
-    def edge_active(self, u: int, v: int) -> bool:
-        base_active = getattr(self._base, "edge_active", None)
-        return self.has_edge(u, v) if base_active is None else base_active(u, v)
 
     def resolve_round(self, transmissions: Mapping[int, object]) -> Dict[int, object]:
         received = self._base.resolve_round(transmissions)
@@ -133,3 +93,8 @@ class FaultyRadioNetwork(RadioNetwork):
                 continue
             surviving[receiver] = message
         return surviving
+
+    def __getattr__(self, name: str):
+        if name == "_base":  # guard against recursion during unpickling
+            raise AttributeError(name)
+        return getattr(self._base, name)

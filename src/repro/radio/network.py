@@ -1,8 +1,10 @@
 """The radio network: an undirected graph plus the collision-reception rule.
 
 A :class:`RadioNetwork` is immutable once constructed.  Its central method is
-:meth:`RadioNetwork.resolve_round`, the *only* implementation of the model's
-reception semantics in the whole library:
+:meth:`RadioNetwork.resolve_round`, the model's reception semantics for the
+whole library, resolved by one kernel (the CSR gather behind
+:meth:`RadioNetwork.resolve_round_vector`) with the ``"reference"``
+engine's neighbor scan as its oracle:
 
     a node receives a message in a round iff exactly one of its neighbors
     transmits in that round, and the node itself is not transmitting.
@@ -22,9 +24,10 @@ from repro.radio.errors import TopologyError
 
 #: The interchangeable implementations of the reception rule / protocol
 #: execution.  Every engine runs the same stage drivers.  ``"reference"``
-#: resolves dict rounds with the original per-transmitter neighbor scan;
-#: ``"fast"`` with adaptive scatter/bitset numpy kernels.  Those two
-#: produce bit-identical results — same receivers, same messages, same
+#: resolves dict rounds with the original per-transmitter neighbor scan
+#: (the oracle); ``"fast"`` with the CSR gather of
+#: :meth:`RadioNetwork.resolve_round_vector`.  Those two produce
+#: bit-identical results — same receivers, same messages, same
 #: (ascending) dict order — which the differential harness
 #: (:mod:`repro.testing.differential`) verifies digest-exactly.
 #: ``"columnar"`` resolves dict rounds like ``"fast"``; in addition, a
@@ -35,13 +38,6 @@ from repro.radio.errors import TopologyError
 #: semantic-equivalence oracles (:mod:`repro.testing.semantic`) instead
 #: of transcript digests.
 ENGINES = ("fast", "reference", "columnar")
-
-#: Dict-path rounds fall back from the bitset strategy to the scatter
-#: strategy above this node count: the packed adjacency matrix is
-#: ``n * ceil(n/64) * 8`` bytes (≈1.25 GB at n=10^5), which columnar-scale
-#: networks must never materialize.  The strategy switch is result- and
-#: order-identical, so transcript digests are unaffected.
-BITSET_MAX_N = 16384
 
 _default_engine = "fast"
 
@@ -75,24 +71,6 @@ def runs_vector_path(network, trace) -> bool:
         and type(network).resolve_round is RadioNetwork.resolve_round
         and network.engine == "columnar"
     )
-
-
-if hasattr(np, "bitwise_count"):  # numpy >= 2.0
-
-    def popcount_u64(words: np.ndarray) -> np.ndarray:
-        """Per-element population count of a uint64 array."""
-        return np.bitwise_count(words)
-
-else:  # pragma: no cover - exercised only on numpy < 2.0
-    _POP8 = np.array(
-        [bin(i).count("1") for i in range(256)], dtype=np.uint8
-    )
-
-    def popcount_u64(words: np.ndarray) -> np.ndarray:
-        """Per-element population count of a uint64 array (uint8 LUT)."""
-        as_bytes = np.ascontiguousarray(words).view(np.uint8)
-        counts = _POP8[as_bytes].reshape(*words.shape, 8)
-        return counts.sum(axis=-1, dtype=np.uint64)
 
 
 class RadioNetwork:
@@ -173,14 +151,9 @@ class RadioNetwork:
             raise ValueError(
                 f"unknown engine {self._engine!r}; expected one of {ENGINES}"
             )
-        # Adjacency bitset matrix for the fast engine: row v holds the
-        # neighborhood of v as n bits packed into ceil(n/64) uint64 words
-        # (bit u of row v set iff edge (v, u)).  Built lazily on the first
-        # contended round so reference-engine runs pay nothing.
-        self._adj_words: Optional[np.ndarray] = None
-        # CSR adjacency (indptr, indices) for the columnar vector
-        # resolver; memory is O(n + m) so it scales to n=10^5-10^6.
-        # Built lazily on first use.
+        # CSR adjacency (indptr, indices) for the reception kernel;
+        # memory is O(n + m) so it scales to n=10^5-10^6.  Built lazily
+        # on first use.
         self._csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
         if require_connected and n > 1 and not self.is_connected():
@@ -376,8 +349,12 @@ class RadioNetwork:
         -----
         This is the single authoritative statement of the model's
         interference semantics; all protocol engines route through it.
-        Two interchangeable implementations exist (see ``engine``); both
-        uphold the same contract, which downstream layers rely on:
+        The ``"reference"`` engine answers with the per-transmitter
+        neighbor scan, kept as the oracle; every other engine hands the
+        transmitter ids to the CSR gather behind
+        :meth:`resolve_round_vector` and builds the dict from its
+        ``(receivers, senders)``.  Both uphold the same contract, which
+        downstream layers rely on:
 
         **Receivers are returned in ascending node order.**  The fault
         layers (:class:`repro.radio.faults.FaultyRadioNetwork`,
@@ -391,10 +368,15 @@ class RadioNetwork:
         """
         if self._engine == "reference":
             return self._resolve_round_reference(transmissions)
-        # "fast" and "columnar" share the dict-path resolver: columnar's
-        # difference lives in the stage drivers and the array-based
-        # resolve_round_vector, not in the dict contract.
-        return self._resolve_round_fast(transmissions)
+        if not transmissions:
+            return {}
+        receivers, senders = self._gather_receptions(np.fromiter(
+            transmissions.keys(), dtype=np.int64, count=len(transmissions)
+        ))
+        return dict(zip(
+            receivers.tolist(),
+            map(transmissions.__getitem__, senders.tolist()),
+        ))
 
     def _resolve_round_reference(
         self, transmissions: Mapping[int, object]
@@ -427,116 +409,6 @@ class RadioNetwork:
             received[v] = transmissions[int(sender_of[v])]
         return received
 
-    def adjacency_words(self) -> np.ndarray:
-        """The packed adjacency bitset matrix (built once, then cached).
-
-        Shape ``(n, ceil(n/64))`` uint64; bit ``u`` of row ``v`` (i.e.
-        word ``u // 64``, bit ``u % 64``) is set iff ``(v, u)`` is an
-        edge.  Do not mutate.
-        """
-        if self._adj_words is None:
-            n = self._n
-            n_words = max(1, (n + 63) >> 6)
-            words = np.zeros((n, n_words), dtype=np.uint64)
-            for v in range(n):
-                nbrs = self._neighbors[v]
-                if len(nbrs):
-                    np.bitwise_or.at(
-                        words[v],
-                        nbrs >> 6,
-                        np.uint64(1) << (nbrs & 63).astype(np.uint64),
-                    )
-            self._adj_words = words
-        return self._adj_words
-
-    def _resolve_round_fast(
-        self, transmissions: Mapping[int, object]
-    ) -> Dict[int, object]:
-        """Vectorized resolver, adaptively scatter- or bitset-based.
-
-        Sparse rounds (few transmitting neighbors in total) use a
-        gather/scatter pass over the transmitters' neighbor lists — the
-        reference algorithm with its per-transmitter Python loop replaced
-        by one ``np.add.at``.  Contended rounds use the adjacency bitset
-        matrix: ``reach[v] = popcount(adj[v] & tx_bitset)`` over uint64
-        words, whose cost is independent of the transmitter count — but
-        only up to :data:`BITSET_MAX_N` nodes, beyond which the O(n²/64)
-        matrix would dominate memory and the scatter pass is used
-        unconditionally.  The strategy choice is a deterministic function
-        of the inputs and both strategies produce the exact dict the
-        reference resolver produces, in the same ascending receiver
-        order.
-        """
-        if not transmissions:
-            return {}
-
-        if len(transmissions) == 1:
-            # Lone transmitter: its (sorted) neighborhood receives.
-            ((tx, message),) = transmissions.items()
-            return dict.fromkeys(self._neighbors[tx].tolist(), message)
-
-        n = self._n
-        tx_ids = np.fromiter(
-            transmissions.keys(), dtype=np.int64, count=len(transmissions)
-        )
-        work = int(self._degrees[tx_ids].sum())  # scatter-path edge scans
-
-        if work <= n or n > BITSET_MAX_N:
-            # -- scatter strategy ------------------------------------
-            nbr_lists = [self._neighbors[int(t)] for t in tx_ids]
-            all_nbrs = np.concatenate(nbr_lists)
-            reach = np.zeros(n, dtype=np.int64)
-            np.add.at(reach, all_nbrs, 1)
-            # Last-writer-wins like the reference loop; only hearers
-            # with a *unique* transmitting neighbor are ever read, so
-            # overwrite order is immaterial.
-            sender_of = np.zeros(n, dtype=np.int64)
-            sender_of[all_nbrs] = np.repeat(
-                tx_ids, [len(a) for a in nbr_lists]
-            )
-            reach[tx_ids] = 0  # half-duplex: transmitters never receive
-            hearers = np.flatnonzero(reach == 1)  # ascending
-            if hearers.size == 0:
-                return {}
-            senders = sender_of[hearers]
-        else:
-            # -- bitset strategy -------------------------------------
-            adj = self.adjacency_words()
-            n_words = adj.shape[1]
-            tx_words = np.zeros(n_words, dtype=np.uint64)
-            np.bitwise_or.at(
-                tx_words,
-                tx_ids >> 6,
-                np.uint64(1) << (tx_ids & 63).astype(np.uint64),
-            )
-
-            hit = adj & tx_words  # (n, n_words): tx neighbors of v
-            reach = popcount_u64(hit).sum(axis=1) if n_words > 1 \
-                else popcount_u64(hit[:, 0])
-            is_tx = np.zeros(n, dtype=bool)
-            is_tx[tx_ids] = True
-            hearers = np.flatnonzero((reach == 1) & ~is_tx)  # ascending
-            if hearers.size == 0:
-                return {}
-
-            rows = hit[hearers]
-            if n_words > 1:
-                word_idx = np.argmax(rows != 0, axis=1)
-                words = rows[np.arange(hearers.size), word_idx]
-            else:
-                word_idx = np.zeros(hearers.size, dtype=np.int64)
-                words = rows[:, 0]
-            # Exactly one bit survives per hearer; powers of two up to
-            # 2^63 are exact in float64, so log2 recovers the bit index
-            # exactly.
-            bits = np.log2(words.astype(np.float64)).astype(np.int64)
-            senders = (word_idx << 6) + bits
-
-        get = transmissions.__getitem__
-        return dict(
-            zip(hearers.tolist(), map(get, senders.tolist()))
-        )
-
     # ------------------------------------------------------------------
     # Columnar (array-in / array-out) reception
     # ------------------------------------------------------------------
@@ -545,9 +417,8 @@ class RadioNetwork:
         """CSR adjacency ``(indptr, indices)`` (built once, then cached).
 
         ``indices[indptr[v]:indptr[v+1]]`` is the sorted neighbor list of
-        ``v``.  Memory is O(n + m), so unlike :meth:`adjacency_words`
-        this representation is safe at columnar scale (n=10^5-10^6).
-        Do not mutate.
+        ``v``.  Memory is O(n + m), so it is safe at columnar scale
+        (n=10^5-10^6).  Do not mutate.
         """
         if self._csr is None:
             indptr = np.zeros(self._n + 1, dtype=np.int64)
@@ -578,14 +449,25 @@ class RadioNetwork:
             neighbor, not themselves transmitting); ``senders[i]`` is the
             unique transmitting neighbor heard by ``receivers[i]``.
 
-        The receiver *set* and per-receiver sender are identical to
-        :meth:`resolve_round` on the same transmitter set; this entry
-        point exists so the columnar stage drivers can batch whole
-        rounds without materializing per-node message dicts.  It always
-        uses the O(n + work) CSR scatter pass — never the bitset matrix
-        — so it is memory-safe at any n.
+        This is the reception kernel: :meth:`resolve_round` runs every
+        non-reference dict round through the same O(n + work) CSR
+        gather, so the two agree on receivers, senders and order by
+        construction.  This entry point lets the columnar stage drivers
+        batch whole rounds without materializing per-node message
+        dicts.
         """
-        tx_ids = np.asarray(tx_ids, dtype=np.int64)
+        return self._gather_receptions(np.asarray(tx_ids, dtype=np.int64))
+
+    def _gather_receptions(
+        self, tx_ids: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The CSR gather behind :meth:`resolve_round_vector` and the
+        non-reference :meth:`resolve_round` (``tx_ids`` is int64).
+
+        Dict rounds call it by this name, so a wrapper around
+        :meth:`resolve_round_vector` (a profiler, say) sees array-path
+        rounds only.
+        """
         n = self._n
         if tx_ids.size == 0:
             empty = np.zeros(0, dtype=np.int64)

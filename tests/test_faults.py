@@ -1,11 +1,14 @@
 """Unit + integration tests for fault injection (erasures, jamming)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro import AlgorithmParameters, MultipleMessageBroadcast
 from repro.experiments.workloads import uniform_random_placement
 from repro.radio.faults import FaultyRadioNetwork
+from repro.radio.network import RadioNetwork
 from repro.topology import grid, line, star
 
 
@@ -17,6 +20,25 @@ class TestConstruction:
         assert faulty.diameter == base.diameter
         assert faulty.max_degree == base.max_degree
         assert faulty.edge_list() == base.edge_list()
+
+    def test_diameter_read_from_base(self, monkeypatch):
+        # grid() seeds the diameter cache in closed form; the wrapper
+        # must answer from it rather than sweep all-pairs BFS again.
+        base = grid(6, 7)
+
+        def no_bfs(self, source):
+            raise AssertionError("diameter recomputed by BFS")
+
+        monkeypatch.setattr(RadioNetwork, "bfs_distances", no_bfs)
+        assert FaultyRadioNetwork(base, erasure_prob=0.1).diameter \
+            == base.diameter == 11
+
+    def test_pickle_round_trip(self):
+        faulty = FaultyRadioNetwork(grid(2, 3), erasure_prob=0.2, seed=4)
+        clone = pickle.loads(pickle.dumps(faulty))
+        assert clone.name == faulty.name and clone.n == 6
+        tx = {0: "m"}
+        assert clone.resolve_round(tx) == faulty.resolve_round(tx)
 
     def test_validation(self):
         base = line(3)
@@ -162,7 +184,8 @@ class TestDelegation:
         assert sinr.resolve_round(tx) == {0: "near"}  # capture effect
         # sanity: the graph rule on the same topology would collide
         graph_view = FaultyRadioNetwork(sinr, seed=0)
-        assert super(FaultyRadioNetwork, graph_view).resolve_round(tx) == {}
+        graph_rule = RadioNetwork(sinr.edge_list(), n=sinr.n)
+        assert graph_rule.resolve_round(tx) == {}
         # the wrapper with zero faults must match the SINR physics
         assert graph_view.resolve_round(tx) == {0: "near"}
 
