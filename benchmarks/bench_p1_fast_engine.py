@@ -1,12 +1,12 @@
 """P1 — fast-engine scaling study (wall time, not rounds).
 
-Where does the bit-packed GF(2) kernel and the bitset reception
+Where does the bit-packed GF(2) kernel and the CSR-gather reception
 resolver actually pay, and by how much?  Three sweeps:
 
 1. resolver replay under heavy contention, n up to 2000, both engines
-   (the reference resolver scans every transmitter's neighborhood, so
-   its cost grows with Σ deg(tx); the fast resolver's popcount matrix
-   pass is contention-independent);
+   (both walk Σ deg(tx) neighbor entries, but the reference resolver
+   does it in a Python loop over transmitters while the fast resolver
+   gathers every neighbor list in one vectorized CSR pass);
 2. the GF(2) kernel on wide systems, k up to 512 unknowns, packed
    uint64 vs pure-python bigint rows (rank and full payload recovery);
 3. full four-stage multibroadcast end-to-end, both engines (honest

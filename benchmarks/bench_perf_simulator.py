@@ -112,9 +112,10 @@ def test_perf_full_multibroadcast_small(benchmark):
 
 
 def test_perf_resolver_engines_heavy_contention(benchmark):
-    """n=500, most of the network transmitting: the bitset+popcount
-    fast path's best case.  Asserts the >=5x headline speedup
-    (engines interleaved per repetition — see _perf.measure_resolver)."""
+    """n=500, most of the network transmitting: where the CSR gather
+    gains most over the per-transmitter Python loop.  Asserts the >=5x
+    headline speedup (engines interleaved per repetition — see
+    _perf.measure_resolver)."""
     stats = _perf.measure_resolver(500, 350, rounds=150, reps=5)
     benchmark.extra_info.update(stats)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
