@@ -55,7 +55,8 @@ import sys
 from typing import List, Optional
 
 from repro.baselines import decay_gossip_broadcast, sequential_bgi_broadcast
-from repro.core import AlgorithmParameters, MultipleMessageBroadcast
+from repro.core import MultipleMessageBroadcast
+from repro.core.config import PRESETS
 from repro.experiments.report import render_table
 from repro.experiments.workloads import (
     all_nodes_one_packet,
@@ -77,12 +78,6 @@ from repro.topology import (
     ring,
     star,
 )
-
-PRESETS = {
-    "default": AlgorithmParameters,
-    "fast": AlgorithmParameters.fast,
-    "paper": AlgorithmParameters.paper,
-}
 
 
 def build_topology(args: argparse.Namespace) -> RadioNetwork:

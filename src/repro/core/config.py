@@ -125,7 +125,7 @@ class AlgorithmParameters:
         :mod:`repro.testing.differential` cross-checks digest-exactly.
         ``columnar`` also runs the array-native vector path on a bare
         network, draws dissemination's Decay coins once per epoch and
-        skips the epochs of a saturated untraced flood.  Those draws
+        skips the epochs of a saturated flood.  Those draws
         reorder the random stream, so it is gated by the
         semantic-equivalence oracles of :mod:`repro.testing.semantic`
         (same delivered sets, same collision counts, same drop
@@ -252,3 +252,11 @@ class AlgorithmParameters:
         Stage 3 stops doubling past this value (see ``k_bound_exponent``).
         """
         return max(16, math.ceil(max(n, 2) ** self.k_bound_exponent))
+
+
+#: The named presets ``--preset`` and job parameters choose from.
+PRESETS = {
+    "default": AlgorithmParameters,
+    "fast": AlgorithmParameters.fast,
+    "paper": AlgorithmParameters.paper,
+}

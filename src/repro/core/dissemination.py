@@ -504,8 +504,8 @@ def run_dissemination_stage(
     def run_phases_direct() -> int:
         """Columnar direct path: each phase is a per-epoch vector program.
 
-        Runs on a bare honest :class:`RadioNetwork` (no trace, no
-        blacklist, groups at most 32 wide) with no wire tuples at all:
+        Runs on a bare honest :class:`RadioNetwork` (no blacklist,
+        groups at most 32 wide) with no wire tuples at all:
 
         - *One draw per epoch.*  The epoch's Decay coin matrices come
           from the same :func:`decay_transmit_matrix` calls, in the same
@@ -515,7 +515,8 @@ def run_dissemination_stage(
           of the epoch's coded masks (or plain picks) in one call,
           stream-identical to its per-(slot, group) draws.
         - *One pass per slot.*  Each slot is one
-          :meth:`RadioNetwork.resolve_round_vector` call.  Receptions are
+          :meth:`RadioNetwork.resolve_round_vector` call, reported to
+          ``trace`` like a dict round.  Receptions are
           attributed to groups at phase end through the sender's BFS
           layer (concurrent groups forward from distinct layers; the
           root is layer 0) and filtered there by ``has_group``, which
@@ -660,6 +661,8 @@ def run_dissemination_stage(
                 else:
                     tx = root_arr
                 receivers, senders_of = network.resolve_round_vector(tx)
+                if trace is not None:
+                    trace.observe(round_offset + rounds + slot, tx, receivers)
                 if receivers.size:
                     rx_recv.append(receivers)
                     rx_send.append(senders_of)
@@ -679,7 +682,7 @@ def run_dissemination_stage(
         ``network.resolve_round`` every round.
 
         Runs every engine wherever :func:`run_phases_direct` cannot:
-        non-columnar engines, fault wrappers, traces and blacklists.
+        non-columnar engines, fault wrappers and blacklists.
         Each round is verified by :func:`process_received` and its
         receivers promoted at phase end by :func:`try_complete`.  Per
         (slot, group) the coded subset masks (or plain picks) are one
@@ -786,7 +789,7 @@ def run_dissemination_stage(
         return rounds
 
     direct = (
-        runs_vector_path(network, trace)
+        runs_vector_path(network)
         and not blacklist
         and width <= _DIRECT_MAX_WIDTH
     )

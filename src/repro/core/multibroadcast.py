@@ -162,6 +162,7 @@ class MultipleMessageBroadcast:
             depth_bound=self.depth_bound,
             epochs_per_phase=params.bfs_epochs(network),
             trace=self.trace,
+            round_offset=timing.total,
         )
         timing.bfs = bfs.rounds
         if not bfs.complete:
@@ -178,6 +179,7 @@ class MultipleMessageBroadcast:
             rng,
             depth_bound=self.depth_bound,
             trace=self.trace,
+            round_offset=timing.total,
         )
         timing.collection = collection.rounds
         if not collection.all_collected:
@@ -201,10 +203,13 @@ class MultipleMessageBroadcast:
             params,
             rng,
             trace=self.trace,
+            round_offset=timing.total,
         )
         timing.dissemination = dissemination.rounds
 
         informed = self._informed_fraction(packets, dissemination, ordered)
+        if self.trace is not None:
+            self.trace.advance_to(timing.total)
         return MultiBroadcastResult(
             n=network.n,
             diameter=network.diameter,
@@ -245,6 +250,8 @@ class MultipleMessageBroadcast:
         return known / (n * k) if n * k else 1.0
 
     def _failed(self, k: int, timing: StageTiming, leader: int = -1, **stages):
+        if self.trace is not None:
+            self.trace.advance_to(timing.total)
         return MultiBroadcastResult(
             n=self.network.n,
             diameter=self.network.diameter,

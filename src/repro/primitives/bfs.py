@@ -74,7 +74,7 @@ def build_distributed_bfs(
     holds, receptions flow through
     :meth:`RadioNetwork.resolve_round_vector` and no ``(sender, dist)``
     tuples are built; otherwise every slot is a real dict round, so
-    fault wrappers and traces see it.
+    fault wrappers see it.  Either way ``trace`` observes every slot.
     """
     n = network.n
     if not 0 <= root < n:
@@ -88,7 +88,7 @@ def build_distributed_bfs(
     parent = np.full(n, -1, dtype=np.int64)
     distance = np.full(n, -1, dtype=np.int64)
     distance[root] = 0
-    direct = runs_vector_path(network, trace)
+    direct = runs_vector_path(network)
 
     rounds = 0
     phases_run = 0
@@ -107,6 +107,9 @@ def build_distributed_bfs(
                 tx = frontier[coins[slot]]
                 if direct:
                     receivers, senders = network.resolve_round_vector(tx)
+                    if trace is not None:
+                        trace.observe(round_offset + rounds + slot, tx,
+                                      receivers)
                     fresh = distance[receivers] < 0
                     adopters = receivers[fresh]
                     parent[adopters] = senders[fresh]

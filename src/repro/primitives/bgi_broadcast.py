@@ -88,10 +88,11 @@ def bgi_broadcast(
     come from one :func:`decay_transmit_matrix` draw (the per-slot
     stream).  Where :func:`runs_vector_path` holds, slots go through
     :meth:`RadioNetwork.resolve_round_vector`; otherwise each is a real
-    dict round, so fault wrappers and traces see it.  Untraced columnar
-    runs charge the epochs left after saturation without simulating
-    them, which skips their draws; the semantic-equivalence oracles,
-    not transcript digests, gate that divergence.
+    dict round, so fault wrappers see it.  Either way ``trace`` observes
+    every simulated slot.  Columnar runs charge the epochs left after
+    saturation without simulating them, which skips their draws; the
+    semantic-equivalence oracles, not transcript digests, gate that
+    divergence.
     """
     source_list = sorted(set(int(s) for s in sources))
     informed = np.zeros(network.n, dtype=bool)
@@ -116,12 +117,10 @@ def bgi_broadcast(
             epochs_to_complete=epochs_to_complete,
         )
 
-    direct = runs_vector_path(network, trace)
+    direct = runs_vector_path(network)
     # The columnar engine stops simulating a saturated flood; it is the
     # one place an engine changes the flood's RNG stream.
-    skip_saturated = (
-        trace is None and getattr(network, "engine", None) == "columnar"
-    )
+    skip_saturated = getattr(network, "engine", None) == "columnar"
     for epoch in range(epochs):
         if skip_saturated and informed.all():
             # Every remaining epoch is state-invariant: charge its
@@ -129,6 +128,8 @@ def bgi_broadcast(
             remaining = epochs - epoch
             rounds += remaining * num_slots
             epochs_run += remaining
+            if trace is not None:
+                trace.advance_to(round_offset + rounds)
             break
         participants = np.flatnonzero(informed)
         coins = decay_transmit_matrix(participants.size, rng, num_slots)
@@ -136,6 +137,8 @@ def bgi_broadcast(
             tx = participants[coins[slot]]
             if direct:
                 receivers, _ = network.resolve_round_vector(tx)
+                if trace is not None:
+                    trace.observe(round_offset + rounds + slot, tx, receivers)
                 informed[receivers] = True
                 continue
             transmissions = dict.fromkeys(tx.tolist(), message)

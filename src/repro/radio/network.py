@@ -31,9 +31,9 @@ from repro.radio.errors import TopologyError
 #: (ascending) dict order — which the differential harness
 #: (:mod:`repro.testing.differential`) verifies digest-exactly.
 #: ``"columnar"`` resolves dict rounds like ``"fast"``; in addition, a
-#: bare untraced columnar network runs the array-native vector path (see
+#: bare columnar network runs the array-native vector path (see
 #: :func:`runs_vector_path`), dissemination draws its Decay coins once
-#: per epoch, and an untraced flood stops simulating once saturated.
+#: per epoch, and a flood stops simulating once saturated.
 #: Those legitimately reorder RNG streams, so it is gated by
 #: semantic-equivalence oracles (:mod:`repro.testing.semantic`) instead
 #: of transcript digests.
@@ -55,19 +55,19 @@ def get_default_engine() -> str:
     return _default_engine
 
 
-def runs_vector_path(network, trace) -> bool:
+def runs_vector_path(network) -> bool:
     """Whether a stage driver may run ``network`` on the array-native
     :meth:`RadioNetwork.resolve_round_vector` path.
 
-    Only a bare columnar :class:`RadioNetwork` with no trace qualifies.
-    Anything overriding ``resolve_round`` (fault layers, SINR physics)
-    and any trace needs real per-round dicts.  This is a function, not
-    a method: the proxy wrappers forward unknown attributes to the
+    Only a bare columnar :class:`RadioNetwork` qualifies.  Anything
+    overriding ``resolve_round`` (fault layers, SINR physics) needs real
+    per-round dicts.  A trace does not matter: the vector path reports
+    each resolved slot to it as the dict loop does.  This is a function,
+    not a method: the proxy wrappers forward unknown attributes to the
     wrapped base, which would answer for them.
     """
     return (
-        trace is None
-        and isinstance(network, RadioNetwork)
+        isinstance(network, RadioNetwork)
         and type(network).resolve_round is RadioNetwork.resolve_round
         and network.engine == "columnar"
     )

@@ -8,7 +8,7 @@ against them, and the experiment harness derives its summary statistics
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Sized, Tuple
 
 
 @dataclass(frozen=True)
@@ -60,14 +60,18 @@ class RoundTrace:
     def observe(
         self,
         round_index: int,
-        transmissions: Mapping[int, object],
-        received: Mapping[int, object],
+        transmissions: Sized,
+        received: Sized,
         reach_counts: Mapping[int, int] = None,
     ) -> None:
         """Record one resolved round.
 
+        Only the sizes of ``transmissions`` and ``received`` are read, so
+        any sized collection will do: the dict loops pass their round
+        dicts, the vector paths their transmitter and receiver arrays.
         ``reach_counts`` (node -> number of transmitting neighbors) is
-        optional; when absent, collision victims are not counted.
+        optional; ``total_collision_victims`` counts only rounds that
+        pass it, and no stage driver does.
         """
         num_tx = len(transmissions)
         num_rx = len(received)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.config import AlgorithmParameters
+from repro.core.config import PRESETS, AlgorithmParameters
 from repro.coding.packets import Packet
 from repro.dynamic.arrivals import build_arrival_process
 from repro.dynamic.churn import ChurnNetwork
@@ -60,12 +60,6 @@ from repro.resilience.chaos.oracles import (
     run_oracles,
     violated,
 )
-
-_PRESETS = {
-    "default": AlgorithmParameters,
-    "fast": AlgorithmParameters.fast,
-    "paper": AlgorithmParameters.paper,
-}
 
 
 class TranscribingFaultNetwork(DynamicFaultNetwork):
@@ -218,7 +212,7 @@ def execute_campaign(
     # is what the reception_rule and no_phantom_delivery oracles replay
     inner = RecordingNetwork(wrap_churn(campaign, base))
     fault_net = build_fault_stack(campaign, inner, transcribe=True)
-    params = params if params is not None else _PRESETS[preset]()
+    params = params if params is not None else PRESETS[preset]()
     if params.authentication != campaign.authentication:
         # the supervisor pushes params.authentication into the insider
         # set via configure(); honor the campaign's choice

@@ -18,13 +18,8 @@ import hashlib
 import time
 from typing import Dict
 
-from repro.core import AlgorithmParameters, MultipleMessageBroadcast
-
-PRESETS = {
-    "default": AlgorithmParameters,
-    "fast": AlgorithmParameters.fast,
-    "paper": AlgorithmParameters.paper,
-}
+from repro.core import MultipleMessageBroadcast
+from repro.core.config import PRESETS
 
 
 def _run_noop(seed: int, params: dict) -> dict:

@@ -350,8 +350,10 @@ STAGE_PINS = {
         "6756e79260ebbfe7819bc58762d12db569e5c4c97ac6e9c6d1a7faab0c5c8cca",
     "bgi-reference-bare":
         "4ec5b894a0d8ccd08765dce25a7246ddb1f81997f465f6fced7441e03cf6b125",
+    # Re-pinned when traced floods began skipping saturated epochs on
+    # columnar too; result and RNG end state equal bgi-columnar-bare's.
     "bgi-columnar-trace":
-        "bfbeb25fd9fbe0032fee67ca253d027e4c0820af3a338f4eedb950bd75ef4eeb",
+        "0fc989aba08b63fbd44d5da86ef1ebcef951e405bc5f12f734739aa0765a7e7e",
     "bgi-columnar-faulty":
         "87af22f47fd0d2a46d76a45a0a88f1b4f6ab25224e712f22b928f5074fb918d0",
     "bgi-columnar-bare":

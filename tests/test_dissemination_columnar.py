@@ -1,10 +1,11 @@
 """The columnar dissemination driver: direct path against fallback.
 
-On a bare honest columnar :class:`RadioNetwork` with no trace, Stage 4
-runs as a per-epoch vector program: one draw per epoch, one
-``resolve_round_vector`` pass per slot, payload-free GF(2) bases.  Asking
-for a :class:`RoundTrace` forces the fallback loop (sealed wire tuples
-through ``resolve_round`` and the shared receiver pipeline).  Both draw
+On a bare honest columnar :class:`RadioNetwork`, Stage 4 runs as a
+per-epoch vector program: one draw per epoch, one
+``resolve_round_vector`` pass per slot, payload-free GF(2) bases.
+Wrapping the network in a :class:`RecordingNetwork` forces the fallback
+loop (sealed wire tuples through ``resolve_round`` and the shared
+receiver pipeline).  Both draw
 the same RNG stream, so every outcome and counter must agree — and the
 direct path's results are pinned by digest, so a change to how it draws
 or attributes receptions fails loudly here.  Every engine's Stage 4 is
@@ -22,7 +23,7 @@ from repro.coding.packets import make_packets
 from repro.core.config import AlgorithmParameters
 from repro.core.dissemination import epoch_draws, run_dissemination_stage
 from repro.radio.network import ENGINES
-from repro.radio.trace import RoundTrace
+from repro.radio.transcript import RecordingNetwork
 from repro.topology import grid, random_geometric
 from tests.conftest import PIN_MODES, pin_digest, pin_network
 
@@ -40,7 +41,7 @@ def _columnar(net):
     return net
 
 
-def _run(net, k, seed, params, trace=None):
+def _run(net, k, seed, params):
     """One Stage-4 run from the root, counting ``resolve_round`` calls."""
     calls = []
     resolve_round = net.resolve_round
@@ -55,7 +56,7 @@ def _run(net, k, seed, params, trace=None):
         packets = make_packets([0] * k, size_bits=24, seed=seed)
         result = run_dissemination_stage(
             net, net.bfs_distances(0).tolist(), 0, packets, params,
-            np.random.default_rng(seed), trace=trace,
+            np.random.default_rng(seed),
         )
     finally:
         del net.resolve_round
@@ -99,7 +100,7 @@ def test_direct_matches_fallback(
     )
     direct, direct_calls = _run(_columnar(make()), k, seed, params)
     fallback, fallback_calls = _run(
-        _columnar(make()), k, seed, params, trace=RoundTrace()
+        RecordingNetwork(_columnar(make())), k, seed, params
     )
     # the two paths really ran
     assert direct_calls == 0

@@ -18,8 +18,10 @@ import pytest
 
 from repro.core.config import AlgorithmParameters
 from repro.dynamic.churn import ChurnNetwork
+from repro.primitives.bgi_broadcast import bgi_broadcast
 from repro.radio.faults import FaultyRadioNetwork
 from repro.radio.network import ENGINES, RadioNetwork, runs_vector_path
+from repro.radio.rng import make_rng
 from repro.radio.sinr import SinrRadioNetwork
 from repro.radio.trace import RoundTrace
 from repro.radio.transcript import RecordingNetwork
@@ -43,25 +45,31 @@ def test_engine_visible_through_every_wrapper(engine):
     for net in wrappers + [stacked]:
         assert net.engine == engine, type(net).__name__
         # a wrapper intercepts rounds, so it never runs the vector path
-        assert not runs_vector_path(net, None), type(net).__name__
+        assert not runs_vector_path(net), type(net).__name__
 
-    # only a bare, untraced columnar network does
-    assert runs_vector_path(base, None) == (engine == "columnar")
-    assert not runs_vector_path(base, RoundTrace())
+    # only a bare columnar network does, traced or not
+    assert runs_vector_path(base) == (engine == "columnar")
+    calls = []
+    resolve_round = base.resolve_round
+    base.resolve_round = lambda tx: calls.append(tx) or resolve_round(tx)
+    flood = bgi_broadcast(base, [0], make_rng(1), trace=RoundTrace())
+    del base.resolve_round
+    assert flood.informed.all()
+    assert (not calls) == (engine == "columnar")
 
     class Overriding(RadioNetwork):
         def resolve_round(self, transmissions):
             return super().resolve_round(transmissions)
 
     assert not runs_vector_path(
-        Overriding(base.edge_list(), n=base.n, engine=engine), None
+        Overriding(base.edge_list(), n=base.n, engine=engine)
     )
     sinr = SinrRadioNetwork(
         np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
         require_connected=False,
     )
     sinr.set_engine(engine)
-    assert not runs_vector_path(sinr, None)
+    assert not runs_vector_path(sinr)
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from repro.coding.packets import make_packets
-from repro.core import AlgorithmParameters, MultipleMessageBroadcast
+from repro.core import ENGINES, AlgorithmParameters, MultipleMessageBroadcast
 from repro.experiments.workloads import (
     all_nodes_one_packet,
     hotspot_placement,
     single_source_burst,
     uniform_random_placement,
 )
+from repro.radio.trace import RoundTrace
 from repro.topology import (
     balanced_tree,
     barbell,
@@ -101,6 +102,29 @@ class TestResultAccounting:
             v > 0
             for v in [t.leader_election, t.bfs, t.collection, t.dissemination]
         )
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_trace_spans_the_whole_run(self, engine):
+        """Each stage traces from the rounds used before it, and the
+        trace ends where the run does."""
+        net = grid(5, 5)
+        packets = uniform_random_placement(net, k=10, seed=5)
+        algo = MultipleMessageBroadcast(
+            net, AlgorithmParameters(engine=engine), seed=11
+        )
+        algo.trace = RoundTrace(keep_records=True)
+        result = algo.run(packets)
+        assert result.trace.summary()["total_rounds"] == result.total_rounds
+        index = np.array([r.round_index for r in result.trace.records])
+        assert (np.diff(index) > 0).all()
+        t = result.timing
+        windows = np.cumsum(
+            [0, t.leader_election, t.bfs, t.collection, t.dissemination]
+        )
+        assert windows[-1] == result.total_rounds
+        per_stage, _ = np.histogram(index, bins=windows)
+        assert (per_stage > 0).all()
+        assert per_stage.sum() == index.size
 
     def test_amortized_metric(self):
         net = line(5)
