@@ -163,14 +163,7 @@ def random_geometric(
         radius = 1.3 * math.sqrt(math.log(max(n, 2)) / (math.pi * n))
 
     for _ in range(max_attempts):
-        points = rng.random((n, 2))
-        # pairwise distances via broadcasting; n is laptop-scale here
-        deltas = points[:, None, :] - points[None, :, :]
-        dist2 = np.einsum("ijk,ijk->ij", deltas, deltas)
-        close = dist2 <= radius * radius
-        iu = np.triu_indices(n, k=1)
-        mask = close[iu]
-        edges = list(zip(iu[0][mask].tolist(), iu[1][mask].tolist()))
+        edges = _disk_edges(rng.random((n, 2)), radius)
         try:
             return RadioNetwork(
                 edges, n=n, name=f"rgg(n={n},r={radius:.3f})"
@@ -184,14 +177,44 @@ def random_geometric(
 
 
 def _disk_edges(points: np.ndarray, radius: float) -> List[Tuple[int, int]]:
-    """Unit-disk edge list for a point cloud (sorted, u < v)."""
+    """Unit-disk edge list for a point cloud (sorted, u < v).
+
+    A cell list: points are bucketed into square cells of side at least
+    ``radius`` (at most about ``n`` cells), so every edge joins two
+    points in the same cell or in adjacent ones.  Each cell is paired
+    with itself and its 4 forward neighbours, which visits every
+    candidate pair once; time and memory are O(n + m) for spread-out
+    points.  The distance test is the all-pairs one, bit for bit.
+    """
     n = points.shape[0]
-    deltas = points[:, None, :] - points[None, :, :]
-    dist2 = np.einsum("ijk,ijk->ij", deltas, deltas)
-    close = dist2 <= radius * radius
-    iu = np.triu_indices(n, k=1)
-    mask = close[iu]
-    return list(zip(iu[0][mask].tolist(), iu[1][mask].tolist()))
+    lo = points.min(axis=0)
+    # The margin absorbs rounding for points ``radius`` apart; the
+    # floor on the side caps the grid near n cells.
+    side = max(abs(radius) * (1 + 1e-9),
+               float((points.max(axis=0) - lo).max()) / math.isqrt(n)) or 1.0
+    cells = np.floor((points - lo) / side).astype(np.int64)
+    rows = int(cells[:, 1].max()) + 3  # a spare row above and below
+    cell = cells[:, 0] * rows + cells[:, 1] + 1
+    order = np.argsort(cell)
+    cell_of = cell[order]
+    us, vs = [], []
+    for offset in (0, 1, rows - 1, rows, rows + 1):
+        target = cell_of + offset
+        start = np.searchsorted(cell_of, target, side="left")
+        stop = np.searchsorted(cell_of, target, side="right")
+        if offset == 0:
+            start = np.arange(1, n + 1)  # later points of the same cell
+        counts = stop - start
+        cum = np.cumsum(counts)
+        pos = np.arange(int(cum[-1])) + np.repeat(start - (cum - counts),
+                                                  counts)
+        us.append(np.repeat(order, counts))
+        vs.append(order[pos])
+    u, v = np.concatenate(us), np.concatenate(vs)
+    deltas = points[u] - points[v]
+    close = np.einsum("ij,ij->i", deltas, deltas) <= radius * radius
+    keys = np.sort(np.minimum(u, v)[close] * n + np.maximum(u, v)[close])
+    return list(zip((keys // n).tolist(), (keys % n).tolist()))
 
 
 def mobile_rgg(

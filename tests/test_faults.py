@@ -23,13 +23,15 @@ class TestConstruction:
 
     def test_diameter_read_from_base(self, monkeypatch):
         # grid() seeds the diameter cache in closed form; the wrapper
-        # must answer from it rather than sweep all-pairs BFS again.
+        # must answer from it rather than run a BFS or the all-sources
+        # diameter sweep again.
         base = grid(6, 7)
 
-        def no_bfs(self, source):
+        def no_bfs(self, *args):
             raise AssertionError("diameter recomputed by BFS")
 
         monkeypatch.setattr(RadioNetwork, "bfs_distances", no_bfs)
+        monkeypatch.setattr(RadioNetwork, "_max_eccentricity", no_bfs)
         assert FaultyRadioNetwork(base, erasure_prob=0.1).diameter \
             == base.diameter == 11
 
